@@ -110,3 +110,35 @@ func BenchmarkSteadySettleFlows(b *testing.B) {
 		g.SettleFlows(dt, 16, units.Milliwatts(700), nil)
 	}
 }
+
+// BenchmarkSteadySettleBackwardTap: a 100-batch chunk of the hoarder
+// graph (constant feed, backward proportional tax), which settles on
+// the backward-tap loop; CI-guarded to 0 B/op.
+func BenchmarkSteadySettleBackwardTap(b *testing.B) {
+	tbl := kobj.NewTable()
+	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	g := NewGraph(tbl, root, label.Public(), Config{BatteryCapacity: 1000 * units.Kilojoule})
+	hoard := g.NewReserve(root, "hoard", label.Public(), ReserveOpts{})
+	p := label.NewPriv()
+	feed, err := g.NewTap(root, "feed", p, g.Battery(), hoard, label.Public())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := feed.SetRate(p, units.Milliwatts(250)); err != nil {
+		b.Fatal(err)
+	}
+	tax, err := g.NewTap(root, "tax", p, hoard, g.Battery(), label.Public())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tax.SetFrac(p, 1000); err != nil {
+		b.Fatal(err)
+	}
+	dt := 10 * units.Millisecond
+	g.SettleFlows(dt, 100, units.Milliwatts(700), nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.SettleFlows(dt, 100, units.Milliwatts(700), nil)
+	}
+}

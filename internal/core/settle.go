@@ -277,13 +277,94 @@ func (g *Graph) settleChunk(dt units.Time, n int64, extra units.Power) int64 {
 		}
 	}
 	if len(g.settleReplay) > 0 {
-		for i := int64(0); i < k; i++ {
-			for _, t := range g.settleReplay {
-				t.flow(dt)
+		if p, feed := g.backwardTap(dt, k); p != nil {
+			g.settleBackwardTap(p, feed, dt, k)
+		} else {
+			for i := int64(0); i < k; i++ {
+				for _, t := range g.settleReplay {
+					t.flow(dt)
+				}
 			}
 		}
 		g.flowWalks += k
 	}
 	g.settledBatches += k
 	return k
+}
+
+// backwardTap recognizes the §5.2.1 backward-tap shape in the current
+// replay set — constant feeds topping up a reserve S that one backward
+// proportional tap P taxes — and returns P with the feeds' summed
+// per-batch inflow into S in µJ, or nil when the chunk must take the
+// per-tap replay. The shape is exactly:
+//
+//   - P is the only proportional tap, with frac ≤ 10⁶ PPM, S's level is
+//     ≥ 0 and P's carry is a normal non-negative residue;
+//   - every other replayed tap is a constant tap into S created before P
+//     (the set is in creation order, so P comes last) that moves a whole
+//     number of µJ per batch from a normal residue (rate·dt % 1000 == 0,
+//     0 ≤ carry < 1000), so each batch adds the same amount to S. S is
+//     then the one sensitive reserve, so no feed's source is sensitive
+//     and the horizon budgets every feed;
+//   - S's level stays below MaxInt64/frac across the chunk, so
+//     level × frac cannot overflow.
+func (g *Graph) backwardTap(dt units.Time, k int64) (*Tap, int64) {
+	n := len(g.settleReplay)
+	p := g.settleReplay[n-1]
+	s := p.src
+	if p.kind != TapProportional || p.frac > 1_000_000 || s.level < 0 || p.carry < 0 || p.carry >= 1000 {
+		return nil, 0
+	}
+	var feed int64
+	for _, t := range g.settleReplay[:n-1] {
+		if t.kind != TapConst || t.sink != s || t.carry < 0 || t.carry >= 1000 {
+			return nil, 0
+		}
+		scaled := int64(t.rate) * int64(dt)
+		if scaled%1000 != 0 {
+			return nil, 0
+		}
+		feed += scaled / 1000
+	}
+	lim := math.MaxInt64 / int64(p.frac)
+	if int64(s.level) > lim || feed > (lim-int64(s.level))/k {
+		return nil, 0
+	}
+	return p, feed
+}
+
+// settleBackwardTap advances k batches of a backwardTap-shaped replay
+// set. Each batch is the per-tap replay's recurrence on locals: the
+// feeds add feed µJ to S, then P moves w = ⌊(⌊L·frac/10⁶⌋·dt + carry)/1000⌋.
+// No clamp can occur — planSettle refuses proportional taps for
+// dt > 1 s, and for dt ≤ 1 s w ≤ L, so P never starves; the horizon
+// budgets every feed's source, so no feed starves either — and every
+// stat is an order-independent integer sum, so one write-back per chunk
+// reproduces the per-batch walk exactly.
+func (g *Graph) settleBackwardTap(p *Tap, feed int64, dt units.Time, k int64) {
+	s := p.src
+	for _, t := range g.settleReplay[:len(g.settleReplay)-1] {
+		moved := units.Energy(int64(t.rate) * int64(dt) / 1000 * k)
+		t.src.debit(moved)
+		t.stats.Moved += moved
+	}
+	l0 := uint64(s.level)
+	in := uint64(feed) * uint64(k)
+	l, a, frac, d, carry := l0, uint64(feed), uint64(p.frac), uint64(dt), uint64(p.carry)
+	for i := k; i > 0; i-- {
+		l += a
+		total := l*frac/1_000_000*d + carry
+		w := total / 1000
+		carry = total - 1000*w
+		l -= w
+	}
+	taxed := units.Energy(l0 + in - l)
+	s.level = units.Energy(l)
+	s.stats.In += units.Energy(in)
+	s.stats.Out += taxed
+	p.carry = int64(carry)
+	if taxed > 0 {
+		p.sink.credit(taxed)
+		p.stats.Moved += taxed
+	}
 }

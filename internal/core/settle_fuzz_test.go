@@ -11,20 +11,29 @@ import (
 
 // FuzzSettle interprets the fuzz input as a little program over a random
 // graph of constant/proportional taps and reserves — create, rewire,
-// mutate rates, transfer, release — executed in lockstep on a per-batch
-// oracle and a closed-form-settled subject. After every advance it
-// asserts:
+// mutate rates, transfer, release, debit into debt, decay — executed in
+// lockstep on a per-batch oracle and a closed-form-settled subject.
+// Carry-free feeds (whole µJ per batch) into a proportionally taxed
+// reserve form the backward-tap shape settleChunk settles on locals;
+// debt-allowed reserves let negative levels reach proportional taps; and
+// Graph.Decay between advances perturbs the levels the proportional
+// recurrences read. After every advance it asserts:
 //
 //   - byte-identical state (levels, carries, stats) between the two;
 //   - exact energy conservation on both
 //     (battery + Σ reserves + consumed == capacity);
-//   - no reserve overshoots past zero (no fuzz reserve allows debt);
+//   - no reserve that does not allow debt overshoots past zero;
 //   - horizon monotonicity: settling j batches shrinks the reported
 //     depletion horizon by at most j.
 func FuzzSettle(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 1, 0x20, 3, 5, 50, 2, 1, 0x10, 5, 20})
 	f.Add([]byte{0, 255, 255, 1, 0xFF, 200, 5, 10, 0, 1, 1, 2, 0x01, 100, 5, 200, 5, 255})
 	f.Add([]byte{6, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	// Backward-tap shape: funded reserve, carry-free feed into it, a tax
+	// back to the battery, advances around a decay step.
+	f.Add([]byte{0, 0x10, 0x27, 7, 0x10, 0xC4, 0x09, 2, 0x01, 0xE8, 0x03, 6, 99, 10, 6, 63, 10, 6, 63})
+	// The same shape on a reserve driven into debt first.
+	f.Add([]byte{8, 9, 0x01, 0x88, 0x13, 7, 0x10, 0xD0, 0x07, 2, 0x01, 0x20, 0xA1, 6, 63, 10, 6, 63, 6, 63, 6, 63})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const battery = units.Joule
@@ -32,6 +41,7 @@ func FuzzSettle(f *testing.F) {
 		build := func() (*Graph, *kobj.Container) { return newSettleGraph(battery) }
 		og, oroot := build()
 		sg, sroot := build()
+		og.halfLife, sg.halfLife = DefaultHalfLife, DefaultHalfLife
 		obill := &baselineBiller{g: og, power: units.Milliwatts(699)}
 		sbill := &baselineBiller{g: sg, power: units.Milliwatts(699)}
 
@@ -68,11 +78,33 @@ func FuzzSettle(f *testing.F) {
 					t.Fatalf("%s: conservation violated by %v", tag, g.ConservationError())
 				}
 				for _, r := range g.reserves {
-					if r.level < 0 {
+					if r.level < 0 && !r.allowDebt {
 						t.Fatalf("%s: reserve %s overshot to %d µJ", tag, r.name, r.level)
 					}
 				}
 			}
+		}
+
+		// addTap creates twin taps between the reserves a selects (source
+		// in the low nibble, sink in the high) and applies set to both.
+		addTap := func(a byte, name string, set func(*Tap)) {
+			si := int(a) % len(ores)
+			di := int(a>>4) % len(ores)
+			if si == di || ores[si].dead || ores[di].dead || sres[si].dead || sres[di].dead {
+				return
+			}
+			ot, err1 := og.NewTap(oroot, name, label.Priv{}, ores[si], ores[di], label.Public())
+			st, err2 := sg.NewTap(sroot, name, label.Priv{}, sres[si], sres[di], label.Public())
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatal("twin tap creation diverged")
+			}
+			if err1 != nil {
+				return
+			}
+			set(ot)
+			set(st)
+			otaps = append(otaps, ot)
+			staps = append(staps, st)
 		}
 
 		count := 0
@@ -85,7 +117,7 @@ func FuzzSettle(f *testing.F) {
 			if count > 200 {
 				break // bound runtime
 			}
-			switch op % 7 {
+			switch op % 11 {
 			case 0: // new reserve, funded from the battery
 				amt, ok := next16(&i)
 				if !ok {
@@ -104,47 +136,15 @@ func FuzzSettle(f *testing.F) {
 				if !ok1 || !ok2 {
 					return
 				}
-				si := int(a) % len(ores)
-				di := int(a>>4) % len(ores)
-				if si == di || ores[si].dead || ores[di].dead || sres[si].dead || sres[di].dead {
-					continue
-				}
-				ot, err1 := og.NewTap(oroot, "t", label.Priv{}, ores[si], ores[di], label.Public())
-				st, err2 := sg.NewTap(sroot, "t", label.Priv{}, sres[si], sres[di], label.Public())
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatal("twin tap creation diverged")
-				}
-				if err1 != nil {
-					continue
-				}
-				_ = ot.SetRate(label.Priv{}, units.Power(rate)*7)
-				_ = st.SetRate(label.Priv{}, units.Power(rate)*7)
-				otaps = append(otaps, ot)
-				staps = append(staps, st)
+				addTap(a, "t", func(tp *Tap) { _ = tp.SetRate(label.Priv{}, units.Power(rate)*7) })
 			case 2: // new proportional tap
 				a, ok1 := next(&i)
 				frac, ok2 := next16(&i)
 				if !ok1 || !ok2 {
 					return
 				}
-				si := int(a) % len(ores)
-				di := int(a>>4) % len(ores)
-				if si == di || ores[si].dead || ores[di].dead || sres[si].dead || sres[di].dead {
-					continue
-				}
-				ot, err1 := og.NewTap(oroot, "f", label.Priv{}, ores[si], ores[di], label.Public())
-				st, err2 := sg.NewTap(sroot, "f", label.Priv{}, sres[si], sres[di], label.Public())
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatal("twin tap creation diverged")
-				}
-				if err1 != nil {
-					continue
-				}
 				ppm := PPM(frac) % 1_000_001
-				_ = ot.SetFrac(label.Priv{}, ppm)
-				_ = st.SetFrac(label.Priv{}, ppm)
-				otaps = append(otaps, ot)
-				staps = append(staps, st)
+				addTap(a, "f", func(tp *Tap) { _ = tp.SetFrac(label.Priv{}, ppm) })
 			case 3: // mutate a tap's rate or fraction
 				a, ok1 := next(&i)
 				v, ok2 := next16(&i)
@@ -201,6 +201,38 @@ func FuzzSettle(f *testing.F) {
 					t.Fatalf("horizon not monotone: settled %d batches, horizon fell %d → %d", n, h0, h1)
 				}
 				check("after advance")
+			case 7: // new carry-free constant tap: whole µJ per batch
+				a, ok1 := next(&i)
+				rate, ok2 := next16(&i)
+				if !ok1 || !ok2 {
+					return
+				}
+				p := units.Power(rate%2048) * 100 // multiples of 100 µW, up to ≈205 mW
+				addTap(a, "c", func(tp *Tap) { _ = tp.SetRate(label.Priv{}, p) })
+			case 8: // new debt-allowed reserve, empty
+				or := og.NewReserve(oroot, "d", label.Public(), ReserveOpts{AllowDebt: true})
+				sr := sg.NewReserve(sroot, "d", label.Public(), ReserveOpts{AllowDebt: true})
+				ores = append(ores, or)
+				sres = append(sres, sr)
+			case 9: // DebitSelf: drives debt-allowed reserves negative
+				a, ok1 := next(&i)
+				amt, ok2 := next16(&i)
+				if !ok1 || !ok2 {
+					return
+				}
+				ri := int(a) % len(ores)
+				if ores[ri].dead || sres[ri].dead {
+					continue
+				}
+				e := units.Energy(amt) * 20
+				oerr := ores[ri].DebitSelf(label.Priv{}, e)
+				serr := sres[ri].DebitSelf(label.Priv{}, e)
+				if (oerr == nil) != (serr == nil) {
+					t.Fatal("twin DebitSelf diverged")
+				}
+			case 10: // one global half-life step between advances
+				og.Decay(units.Second)
+				sg.Decay(units.Second)
 			}
 		}
 		// Final state must agree even if the program ended mid-op.

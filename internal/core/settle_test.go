@@ -32,8 +32,9 @@ func graphState(g *Graph) string {
 	fmt.Fprintf(&b, "consumed=%d held=%d conserr=%d active=%d\n",
 		g.consumed, g.TotalHeld(), g.ConservationError(), len(g.active))
 	for _, r := range g.reserves {
-		fmt.Fprintf(&b, "r %s level=%d in=%d out=%d cons=%d fails=%d\n",
-			r.name, r.level, r.stats.In, r.stats.Out, r.stats.Consumed, r.stats.ConsumeFailures)
+		fmt.Fprintf(&b, "r %s level=%d in=%d out=%d cons=%d fails=%d decayed=%d dcarry=%d\n",
+			r.name, r.level, r.stats.In, r.stats.Out, r.stats.Consumed, r.stats.ConsumeFailures,
+			r.stats.Decayed, r.decayCarry)
 	}
 	for _, t := range g.taps {
 		fmt.Fprintf(&b, "t %s carry=%d moved=%d starved=%d active=%v\n",
@@ -350,5 +351,148 @@ func TestSettleFlowHookFallsBack(t *testing.T) {
 	}
 	if got := g.FlowWalks(); got != 25 {
 		t.Fatalf("flow walks = %d, want 25", got)
+	}
+}
+
+// hoarderShape describes one variant of the §5.2.1 hoarder graph (the
+// adversarial scenario's installHoarder): a constant feed battery→hoard,
+// a 1000 PPM backward tax hoard→battery and a decay-exempt stash.
+type hoarderShape struct {
+	feedRate units.Power  // zero selects the scenario's 250 mW
+	taxFirst bool         // create the tax before the feed
+	debt     units.Energy // > 0: hoard allows debt and starts this deep in it
+	// extra adds taps after the feed and tax.
+	extra func(t *testing.T, g *Graph, root *kobj.Container, hoard, stash *Reserve)
+}
+
+func (hs hoarderShape) build(t *testing.T) func(g *Graph, root *kobj.Container) []*Tap {
+	return func(g *Graph, root *kobj.Container) []*Tap {
+		g.halfLife = DefaultHalfLife // newSettleGraph disables decay
+		hoard := g.NewReserve(root, "hoard", label.Public(), ReserveOpts{AllowDebt: hs.debt > 0})
+		stash := g.NewReserve(root, "stash", label.Public(), ReserveOpts{DecayExempt: true})
+		if hs.debt > 0 {
+			if err := hoard.DebitSelf(label.Priv{}, hs.debt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		feed := func() *Tap {
+			tap := mustTap(t, g, root, "feed", g.Battery(), hoard)
+			rate := hs.feedRate
+			if rate == 0 {
+				rate = units.Milliwatts(250)
+			}
+			mustRate(t, tap, rate)
+			return tap
+		}
+		tax := func() *Tap {
+			tap := mustTap(t, g, root, "tax", hoard, g.Battery())
+			mustFrac(t, tap, 1000)
+			return tap
+		}
+		var taps []*Tap
+		if hs.taxFirst {
+			taps = append(taps, tax(), feed())
+		} else {
+			taps = append(taps, feed(), tax())
+		}
+		if hs.extra != nil {
+			hs.extra(t, g, root, hoard, stash)
+		}
+		return taps
+	}
+}
+
+func reserveNamed(g *Graph, name string) *Reserve {
+	for _, r := range g.reserves {
+		if r.name == name {
+			return r
+		}
+	}
+	return nil
+}
+
+// takesBackwardTapLoop plans a chunk on g and reports whether its
+// replay set has the shape settleChunk hands to settleBackwardTap.
+func takesBackwardTapLoop(g *Graph, extra units.Power) bool {
+	if g.planSettle(settleDT, extra) <= 0 || len(g.settleReplay) == 0 {
+		return false
+	}
+	p, _ := g.backwardTap(settleDT, 1)
+	return p != nil
+}
+
+// runHoarder drives the twins the way the kernel meets a hoarder: chunks
+// of 100 batches (one per 1 s decay instant), Graph.Decay(1 s) after
+// each, and the hoarder's evasion TransferUpTo(hoard→stash) once a
+// minute, comparing the twins after every chunk. It returns how many
+// chunks planned onto the backward-tap loop.
+func runHoarder(tw *twins, minutes int) (fast int) {
+	tw.t.Helper()
+	for c := 1; c <= minutes*60; c++ {
+		if takesBackwardTapLoop(tw.subject, tw.baseline) {
+			fast++
+		}
+		tw.step(100)
+		tw.mutate(func(g *Graph, _ []*Tap) error {
+			g.Decay(units.Second)
+			if c%60 != 0 {
+				return nil
+			}
+			hoard := reserveNamed(g, "hoard")
+			_, err := g.TransferUpTo(label.Priv{}, hoard, reserveNamed(g, "stash"), units.ClampNonNegative(hoard.level))
+			return err
+		})
+		tw.compare(fmt.Sprintf("chunk %d", c))
+	}
+	return fast
+}
+
+// TestSettleBackwardTap pins the backward-tap loop against the per-batch
+// oracle over a simulated hour of the hoarder graph, and checks that
+// every shape outside its conditions falls back to the per-tap replay
+// with identical results.
+func TestSettleBackwardTap(t *testing.T) {
+	const battery = 20 * units.Kilojoule
+	baseline := units.Milliwatts(699)
+	tw := newTwins(t, battery, baseline, hoarderShape{}.build(t))
+	if fast := runHoarder(tw, 60); fast != 3600 {
+		t.Fatalf("backward-tap loop took %d of 3600 chunks, want all", fast)
+	}
+	if tw.staps[1].stats.Moved == 0 || reserveNamed(tw.subject, "stash").level == 0 {
+		t.Fatal("hoarder never taxed or stashed: the test exercises nothing")
+	}
+
+	for _, tc := range []struct {
+		name  string
+		shape hoarderShape
+	}{
+		{"feed with carry", hoarderShape{feedRate: 250_001}},
+		{"feed after tax", hoarderShape{taxFirst: true}},
+		{"second proportional tap", hoarderShape{extra: func(t *testing.T, g *Graph, root *kobj.Container, hoard, stash *Reserve) {
+			mustFrac(t, mustTap(t, g, root, "tax2", hoard, stash), 500)
+		}}},
+		{"constant drain", hoarderShape{extra: func(t *testing.T, g *Graph, root *kobj.Container, hoard, stash *Reserve) {
+			mustRate(t, mustTap(t, g, root, "drain", hoard, stash), units.Milliwatts(10))
+		}}},
+		// The feed repays this debt exactly at a chunk boundary, where the
+		// tax's carry is still negative from taxing a negative level.
+		{"debt", hoarderShape{debt: 29750 * units.Millijoule}},
+		{"proportional chain", hoarderShape{extra: func(t *testing.T, g *Graph, root *kobj.Container, hoard, _ *Reserve) {
+			mid := g.NewReserve(root, "mid", label.Public(), ReserveOpts{})
+			mustFrac(t, mustTap(t, g, root, "hoard-mid", hoard, mid), 2000)
+			mustFrac(t, mustTap(t, g, root, "mid-bat", mid, g.Battery()), 5000)
+		}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tw := newTwins(t, battery, baseline, tc.shape.build(t))
+			if takesBackwardTapLoop(tw.subject, baseline) {
+				t.Fatal("shape planned onto the backward-tap loop, want the per-tap replay")
+			}
+			fast := runHoarder(tw, 10)
+			// Debt falls back only until the feed has repaid it.
+			if tc.shape.debt > 0 && (fast == 0 || fast == 600) || tc.shape.debt == 0 && fast != 0 {
+				t.Fatalf("%d of 600 chunks took the backward-tap loop", fast)
+			}
+		})
 	}
 }

@@ -77,15 +77,29 @@ func Registry() []Scenario {
 			Name:  "monthinthelife",
 			About: "30-day horizon with overnight charges; smoke folds in the charger-settlement equivalence check",
 			Tiers: map[string]Spec{
-				TierSmoke:   {Budget: time.Minute, Run: runMonthSmoke},
+				// The 26 h horizon crosses an overnight charge; per-charge
+				// settlement, alone and stacked on per-batch taps, must
+				// reproduce the closed-form report exactly.
+				TierSmoke: {Budget: time.Minute, Run: settleEquivRun(fleetCfg("monthinthelife", 16, 11, 26*units.Hour),
+					settleVariant{"per-charge", func(c *fleet.Config) { c.ChargerSettle = kernel.SettlePerBatch }},
+					settleVariant{"per-charge + per-batch taps", func(c *fleet.Config) {
+						c.ChargerSettle = kernel.SettlePerBatch
+						c.Settle = kernel.SettlePerBatch
+					}},
+				)},
 				TierNightly: {Budget: 5 * time.Minute, Run: plainRun(fleetCfg("monthinthelife", 150, 11, 30*24*units.Hour))},
 			},
 		},
 		{
 			Name:  "adversarial",
-			About: "hostile cohorts (drainers, thrashers, oscillators) at full population",
+			About: "§5.2.2 cohorts (adv-victim phones, adv-lax and adv-strict hoarders); smoke folds in the backward-tap settlement equivalence check",
 			Tiers: map[string]Spec{
-				TierSmoke:   {Budget: time.Minute, Run: plainRun(fleetCfg("adversarial", 64, 1, 6*units.Hour))},
+				// The hoarder cohorts settle their backward taps on locals
+				// (core's backward-tap loop); replaying every batch through
+				// Graph.Flow must reproduce the closed-form report exactly.
+				TierSmoke: {Budget: time.Minute, Run: settleEquivRun(fleetCfg("adversarial", 64, 1, 6*units.Hour),
+					settleVariant{"per-batch taps", func(c *fleet.Config) { c.Settle = kernel.SettlePerBatch }},
+				)},
 				TierNightly: {Budget: 10 * time.Minute, Run: plainRun(fleetCfg("adversarial", 1000, 1, 24*units.Hour))},
 			},
 		},
@@ -285,45 +299,42 @@ func runWeekSmoke() (Sample, error) {
 	return Sample{Report: ref, MD5: sum, ExtraDeviceDays: deviceDays(cfg)}, nil
 }
 
-// runMonthSmoke folds the charger-settlement equivalence check into the
-// month scenario: the 26 h horizon crosses an overnight charge, and
-// per-charge settlement (alone and stacked on per-batch taps) must
-// reproduce the closed-form report exactly.
-func runMonthSmoke() (Sample, error) {
-	cfg := fleetCfg("monthinthelife", 16, 11, 26*units.Hour)
-	cfg.KeepResults = true
-	ref, err := fleet.Run(cfg)
-	if err != nil {
-		return Sample{}, err
-	}
-	want, err := ref.CanonicalJSON(true)
-	if err != nil {
-		return Sample{}, err
-	}
-	extra := 0.0
-	for _, v := range []struct {
-		label string
-		mut   func(*fleet.Config)
-	}{
-		{"per-charge", func(c *fleet.Config) { c.ChargerSettle = kernel.SettlePerBatch }},
-		{"per-charge + per-batch taps", func(c *fleet.Config) {
-			c.ChargerSettle = kernel.SettlePerBatch
-			c.Settle = kernel.SettlePerBatch
-		}},
-	} {
-		vc := cfg
-		v.mut(&vc)
-		dd, err := equalAs(v.label, want, vc, true)
+// settleVariant is one settle-mode cross-check folded into a smoke spec.
+type settleVariant struct {
+	label string
+	mut   func(*fleet.Config)
+}
+
+// settleEquivRun runs cfg as the reference and fails unless every
+// variant reproduces its per-device canonical report byte for byte.
+func settleEquivRun(cfg fleet.Config, variants ...settleVariant) func() (Sample, error) {
+	return func() (Sample, error) {
+		cfg := cfg
+		cfg.KeepResults = true
+		ref, err := fleet.Run(cfg)
 		if err != nil {
 			return Sample{}, err
 		}
-		extra += dd
+		want, err := ref.CanonicalJSON(true)
+		if err != nil {
+			return Sample{}, err
+		}
+		extra := 0.0
+		for _, v := range variants {
+			vc := cfg
+			v.mut(&vc)
+			dd, err := equalAs(v.label, want, vc, true)
+			if err != nil {
+				return Sample{}, err
+			}
+			extra += dd
+		}
+		sum, err := canonicalMD5(ref, false)
+		if err != nil {
+			return Sample{}, err
+		}
+		return Sample{Report: ref, MD5: sum, ExtraDeviceDays: extra}, nil
 	}
-	sum, err := canonicalMD5(ref, false)
-	if err != nil {
-		return Sample{}, err
-	}
-	return Sample{Report: ref, MD5: sum, ExtraDeviceDays: extra}, nil
 }
 
 // clusterRun drives cfg as a 4-shard job over two HTTP-loopback runners
