@@ -53,8 +53,8 @@ func TestFlowZeroAllocs(t *testing.T) {
 func TestSettleFlowsZeroAllocs(t *testing.T) {
 	g := allocGraph(t)
 	dt := 10 * units.Millisecond
-	g.SettleFlows(dt, 16, units.Milliwatts(700), nil)
-	if n := testing.AllocsPerRun(100, func() { g.SettleFlows(dt, 16, units.Milliwatts(700), nil) }); n != 0 {
+	g.SettleFlows(dt, 16, units.Milliwatts(700), nil, Bites{})
+	if n := testing.AllocsPerRun(100, func() { g.SettleFlows(dt, 16, units.Milliwatts(700), nil, Bites{}) }); n != 0 {
 		t.Fatalf("SettleFlows allocates %v times per call, want 0", n)
 	}
 }
@@ -103,11 +103,11 @@ func BenchmarkSteadyGraphFlow(b *testing.B) {
 func BenchmarkSteadySettleFlows(b *testing.B) {
 	g := allocGraph(b)
 	dt := 10 * units.Millisecond
-	g.SettleFlows(dt, 16, units.Milliwatts(700), nil)
+	g.SettleFlows(dt, 16, units.Milliwatts(700), nil, Bites{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.SettleFlows(dt, 16, units.Milliwatts(700), nil)
+		g.SettleFlows(dt, 16, units.Milliwatts(700), nil, Bites{})
 	}
 }
 
@@ -135,10 +135,57 @@ func BenchmarkSteadySettleBackwardTap(b *testing.B) {
 		b.Fatal(err)
 	}
 	dt := 10 * units.Millisecond
-	g.SettleFlows(dt, 100, units.Milliwatts(700), nil)
+	g.SettleFlows(dt, 100, units.Milliwatts(700), nil, Bites{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.SettleFlows(dt, 100, units.Milliwatts(700), nil)
+		g.SettleFlows(dt, 100, units.Milliwatts(700), nil, Bites{})
+	}
+}
+
+// BenchmarkSteadySettleFlowsDecay: a 1,000-batch chunk with ten 1 s
+// bites folded in — an untapped decayable reserve, one fed by a constant
+// tap and the hoarder's taxed reserve; CI-guarded to 0 B/op.
+func BenchmarkSteadySettleFlowsDecay(b *testing.B) {
+	tbl := kobj.NewTable()
+	root := kobj.NewContainer(tbl, nil, "root", label.Public())
+	g := NewGraph(tbl, root, label.Public(), Config{BatteryCapacity: 1000 * units.Kilojoule})
+	p := label.NewPriv()
+	stash := g.NewReserve(root, "stash", label.Public(), ReserveOpts{})
+	fed := g.NewReserve(root, "fed", label.Public(), ReserveOpts{})
+	hoard := g.NewReserve(root, "hoard", label.Public(), ReserveOpts{})
+	if err := g.Transfer(p, g.Battery(), stash, 100*units.Kilojoule); err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		src, sink *Reserve
+		rate      units.Power
+		frac      PPM
+	}{
+		{"feed-fed", g.Battery(), fed, units.Milliwatts(37), 0},
+		{"feed-hoard", g.Battery(), hoard, units.Milliwatts(250), 0},
+		{"tax", hoard, g.Battery(), 0, 1000},
+	} {
+		t, err := g.NewTap(root, tc.name, p, tc.src, tc.sink, label.Public())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tc.frac > 0 {
+			err = t.SetFrac(p, tc.frac)
+		} else {
+			err = t.SetRate(p, tc.rate)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	dt := 10 * units.Millisecond
+	bites := Bites{First: 100, Every: 100, Count: 10, DT: units.Second}
+	g.SettleFlows(dt, 1000, units.Milliwatts(700), nil, bites)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.SettleFlows(dt, 1000, units.Milliwatts(700), nil, bites)
 	}
 }

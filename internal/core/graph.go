@@ -54,11 +54,10 @@ type Graph struct {
 	// rate. The kernel hooks it to resume a deferred flow batch task.
 	onTapActivity func()
 	// onDecayActivity, when set, is invoked when a decayable reserve is
-	// created. The kernel hooks it to resume the parked half-life decay
-	// task: while no decayable reserve exists, Decay is provably a no-op
-	// and its 1 s cadence is the only thing forcing an otherwise
-	// quiescent device to execute 86 400 empty instants per simulated
-	// day.
+	// created. The kernel hooks it to resume a decay task it parked while
+	// no decayable reserve existed (Decay is then provably a no-op); under
+	// closed-form settlement the task also parks while bites can be
+	// folded into SettleFlows chunks.
 	onDecayActivity func()
 	// flowScratch is Flow's reusable snapshot buffer, so a tap released
 	// or zeroed mid-batch cannot shift later taps out of the batch.
@@ -82,6 +81,7 @@ type Graph struct {
 	settleTelescope []*Tap
 	settleReplay    []*Tap
 	settleSrcs      []*Reserve
+	biteList        []*Reserve
 	flowWalks       int64
 	settledBatches  int64
 	// decayFactor is the per-Decay-interval retention in 2⁻³⁰ fixed
@@ -193,6 +193,7 @@ func (g *Graph) Reset(t *kobj.Table, root *kobj.Container, batteryLabel label.La
 	g.settleTelescope = truncTaps(g.settleTelescope)
 	g.settleReplay = truncTaps(g.settleReplay)
 	g.settleSrcs = truncReserves(g.settleSrcs)
+	g.biteList = truncReserves(g.biteList)
 	g.flowWalks = 0
 	g.settledBatches = 0
 	g.decayFactorDT = 0
@@ -381,23 +382,36 @@ func (g *Graph) Decay(dt units.Time) {
 	}
 	f := g.retentionFactor(dt)
 	for _, r := range g.decayable {
-		if r.level <= 0 {
-			continue
-		}
-		// retained = level × f / 2³⁰, with per-reserve fixed-point carry
-		// so the long-run half-life is exact.
-		total := int64(r.level)*f + r.decayCarry
-		retained := units.Energy(total >> 30)
-		r.decayCarry = total & (1<<30 - 1)
-		leaked := r.level - retained
-		if leaked <= 0 {
-			continue
-		}
-		r.level = retained
-		r.stats.Decayed += leaked
-		r.stats.Out += leaked
-		g.battery.credit(leaked)
+		g.bite(r, r.level, f)
 	}
+}
+
+// bite applies one half-life step at retention f to r, whose level at
+// the bite is lvl: r.level plus any inflow a settlement chunk has not
+// credited yet (settle.go folds bites into chunks this way). The leak
+// returns to the battery.
+func (g *Graph) bite(r *Reserve, lvl units.Energy, f int64) {
+	leaked := decayLeak(lvl, f, &r.decayCarry)
+	if leaked <= 0 {
+		return
+	}
+	r.level -= leaked
+	r.stats.Decayed += leaked
+	r.stats.Out += leaked
+	g.battery.credit(leaked)
+}
+
+// decayLeak is the one bite formula: retained = lvl × f / 2³⁰, with a
+// per-reserve fixed-point carry so the long-run half-life is exact. It
+// returns the leak and advances the carry; empty or indebted levels do
+// not decay and leave the carry alone.
+func decayLeak(lvl units.Energy, f int64, carry *int64) units.Energy {
+	if lvl <= 0 {
+		return 0
+	}
+	total := int64(lvl)*f + *carry
+	*carry = total & (1<<30 - 1)
+	return lvl - units.Energy(total>>30)
 }
 
 // retentionFactor returns 2³⁰ × 2^(−dt/halfLife), memoized for the

@@ -111,6 +111,11 @@ type Reserve struct {
 	settleMark    uint64
 	settleDrain   int64
 	settleCarry   int64
+	// biteMark flags a decayable reserve fed by telescoped constant taps
+	// in the current settlement chunk; biteIn accumulates those taps'
+	// credits through a folded bite (settle.go's foldBites).
+	biteMark uint64
+	biteIn   units.Energy
 	// insufficient is the reusable ErrInsufficient instance returned by
 	// failing Consume/DebitSelf calls (see insufficientErr).
 	insufficient insufficientErr

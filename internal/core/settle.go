@@ -98,6 +98,18 @@ func (g *Graph) ReserveDrainedByTap(r *Reserve) bool {
 	return false
 }
 
+// TapsFrom appends every active tap whose source is r to dst (reusing
+// its capacity) and returns the extended slice, in creation order. The
+// kernel's battery watch horizon budgets the battery's outflow with it.
+func (g *Graph) TapsFrom(r *Reserve, dst []*Tap) []*Tap {
+	for _, t := range g.active {
+		if t.src == r {
+			dst = append(dst, t)
+		}
+	}
+	return dst
+}
+
 // TapsInto appends every active tap whose sink is r to dst (reusing its
 // capacity) and returns the extended slice, in deterministic creation
 // order. Closed-form sweep settlement (netd's pool-crossing horizon)
@@ -112,18 +124,31 @@ func (g *Graph) TapsInto(r *Reserve, dst []*Tap) []*Tap {
 	return dst
 }
 
+// Bites schedules global half-life bites inside a SettleFlows call:
+// Count bites of Decay(DT), the first after batch First (1-based), then
+// one every Every batches. A bite follows its batch's flows and the
+// caller's interleaved accounting for that batch, the order of the
+// kernel's flow, baseline and decay tasks at a shared instant.
+type Bites struct {
+	First, Every, Count int64
+	DT                  units.Time
+}
+
 // SettleFlows advances the graph through n consecutive Flow(dt) batches,
-// byte-identical to n sequential Flow calls with no interleaved graph
-// mutation. Batches inside the depletion horizon settle in closed form
-// (telescoped constant taps, sequence-ordered replay of sensitive taps);
-// batches outside it fall back to exact per-batch walks. After each
-// settled chunk of k batches, interleave(k) — if non-nil — is invoked so
-// the caller can apply its own per-batch accounting (baseline billing)
-// at matching granularity; extraBatteryDrain must bound that accounting's
-// per-batch battery draw so the horizon covers it.
-func (g *Graph) SettleFlows(dt units.Time, n int64, extraBatteryDrain units.Power, interleave func(batches int64)) {
+// each bitten batch of b followed by Decay(b.DT), byte-identical to that
+// per-batch sequence with no interleaved graph mutation. Batches inside
+// the depletion horizon settle in closed form (telescoped constant taps,
+// sequence-ordered replay of sensitive taps); batches outside it fall
+// back to exact per-batch walks. After each settled chunk of k batches,
+// interleave(k) — if non-nil — is invoked so the caller can apply its
+// own per-batch accounting (baseline billing) at matching granularity;
+// extraBatteryDrain must bound that accounting's per-batch battery draw
+// so the horizon covers it. A chunk folds its bites in when no bite can
+// observe the chunk's own flow order (planBites); otherwise the chunk
+// ends at the next bite, which runs after the interleave.
+func (g *Graph) SettleFlows(dt units.Time, n int64, extraBatteryDrain units.Power, interleave func(batches int64), b Bites) {
 	for n > 0 {
-		k := g.settleChunk(dt, n, extraBatteryDrain)
+		k := g.settleChunk(dt, n, extraBatteryDrain, &b)
 		if k == 0 {
 			g.Flow(dt)
 			k = 1
@@ -131,6 +156,12 @@ func (g *Graph) SettleFlows(dt units.Time, n int64, extraBatteryDrain units.Powe
 		if interleave != nil {
 			interleave(k)
 		}
+		if b.Count > 0 && b.First == k {
+			g.Decay(b.DT)
+			b.Count--
+			b.First += b.Every
+		}
+		b.First -= k
 		n -= k
 	}
 }
@@ -257,14 +288,30 @@ func (g *Graph) addSettleDrain(r *Reserve, epoch uint64, perBatchScaled, carry i
 // it advanced (0 when the horizon demands an exact per-batch walk). The
 // chunk is exact: within the horizon no tap can clamp, so the telescoped
 // constant taps commute with the sequence-ordered replay of the
-// sensitive set.
-func (g *Graph) settleChunk(dt units.Time, n int64, extra units.Power) int64 {
+// sensitive set. Bites of b inside the chunk are folded in and consumed
+// when planBites allows it; otherwise the chunk ends at the next bite,
+// which the caller applies.
+func (g *Graph) settleChunk(dt units.Time, n int64, extra units.Power, b *Bites) int64 {
 	k := g.planSettle(dt, extra)
 	if k <= 0 {
 		return 0
 	}
 	if k > n {
 		k = n
+	}
+	var p *Tap
+	var feed int64
+	if len(g.settleReplay) > 0 {
+		p, feed = g.backwardTap(dt, k)
+	}
+	var nb int64
+	if b.Count > 0 && b.First <= k {
+		if g.planBites(p) {
+			nb = min((k-b.First)/b.Every+1, b.Count)
+			g.foldBites(dt, b, nb)
+		} else {
+			k = b.First
+		}
 	}
 	for _, t := range g.settleTelescope {
 		total := int64(t.rate)*int64(dt)*k + t.carry
@@ -277,8 +324,8 @@ func (g *Graph) settleChunk(dt units.Time, n int64, extra units.Power) int64 {
 		}
 	}
 	if len(g.settleReplay) > 0 {
-		if p, feed := g.backwardTap(dt, k); p != nil {
-			g.settleBackwardTap(p, feed, dt, k)
+		if p != nil {
+			g.settleBackwardTap(p, feed, dt, k, b, nb)
 		} else {
 			for i := int64(0); i < k; i++ {
 				for _, t := range g.settleReplay {
@@ -288,8 +335,87 @@ func (g *Graph) settleChunk(dt units.Time, n int64, extra units.Power) int64 {
 		}
 		g.flowWalks += k
 	}
+	if nb > 0 {
+		b.Count -= nb
+		b.First += nb * b.Every
+	}
 	g.settledBatches += k
 	return k
+}
+
+// planBites reports whether the bites inside the current chunk fold into
+// it, and lists in g.biteList the decayable reserves they can change. A
+// bite reads every decayable level, so it folds only when each such
+// level is known at every bite without replaying the chunk batch by
+// batch:
+//
+//   - a reserve no active tap touches changes only by its own bites;
+//   - a reserve fed only by telescoped constant taps holds its pre-chunk
+//     level plus those taps' telescoped credits through the bite
+//     (foldBites computes them from the pre-chunk carries);
+//   - the backward-tap reserve S is bitten inside settleBackwardTap's
+//     loop, every Every batches.
+//
+// A decayable reserve some tap drains, a replay set of any other shape
+// and a battery read by a proportional tap (bites credit the battery)
+// refuse the fold; the chunk then ends at the bite and Decay runs.
+func (g *Graph) planBites(p *Tap) bool {
+	g.biteList = g.biteList[:0]
+	if g.halfLife < 0 || len(g.decayable) == 0 {
+		return true // every bite is a no-op
+	}
+	epoch := g.settleEpoch
+	if g.battery.sensitiveMark == epoch {
+		return false
+	}
+	var s *Reserve
+	if len(g.settleReplay) > 0 {
+		if p == nil {
+			return false
+		}
+		s = p.src
+	}
+	for _, t := range g.active {
+		if t.src != s && !t.src.decayExempt {
+			return false
+		}
+		if t.sink == s || t.sink.decayExempt {
+			continue
+		}
+		if t.kind == TapProportional || t.src.sensitiveMark == epoch || t.sink.sensitiveMark == epoch {
+			return false
+		}
+		t.sink.biteMark = epoch
+	}
+	for _, r := range g.decayable {
+		if r != s && (r.level > 0 || r.biteMark == epoch) {
+			g.biteList = append(g.biteList, r)
+		}
+	}
+	return true
+}
+
+// foldBites applies the first nb bites of b to g.biteList before the
+// chunk's telescoped credits land: a tap-fed reserve is bitten at its
+// level plus the credits its taps would have made through the bitten
+// batch, ⌊(rate·dt·j + carry)/1000⌋ from the pre-chunk carries.
+func (g *Graph) foldBites(dt units.Time, b *Bites, nb int64) {
+	if len(g.biteList) == 0 {
+		return
+	}
+	f := g.retentionFactor(b.DT)
+	epoch := g.settleEpoch
+	for i, j := int64(0), b.First; i < nb; i, j = i+1, j+b.Every {
+		for _, t := range g.settleTelescope {
+			if t.sink.biteMark == epoch {
+				t.sink.biteIn += units.Energy((int64(t.rate)*int64(dt)*j + t.carry) / 1000)
+			}
+		}
+		for _, r := range g.biteList {
+			g.bite(r, r.level+r.biteIn, f)
+			r.biteIn = 0
+		}
+	}
 }
 
 // backwardTap recognizes the §5.2.1 backward-tap shape in the current
@@ -340,31 +466,58 @@ func (g *Graph) backwardTap(dt units.Time, k int64) (*Tap, int64) {
 // dt > 1 s, and for dt ≤ 1 s w ≤ L, so P never starves; the horizon
 // budgets every feed's source, so no feed starves either — and every
 // stat is an order-independent integer sum, so one write-back per chunk
-// reproduces the per-batch walk exactly.
-func (g *Graph) settleBackwardTap(p *Tap, feed int64, dt units.Time, k int64) {
+// reproduces the per-batch walk exactly. The first nb bites of b, folded
+// by the caller, bite S after their batches.
+func (g *Graph) settleBackwardTap(p *Tap, feed int64, dt units.Time, k int64, b *Bites, nb int64) {
 	s := p.src
 	for _, t := range g.settleReplay[:len(g.settleReplay)-1] {
 		moved := units.Energy(int64(t.rate) * int64(dt) / 1000 * k)
 		t.src.debit(moved)
 		t.stats.Moved += moved
 	}
+	var f int64
+	if nb > 0 && !s.decayExempt {
+		f = g.retentionFactor(b.DT)
+	} else {
+		nb = 0
+	}
 	l0 := uint64(s.level)
 	in := uint64(feed) * uint64(k)
 	l, a, frac, d, carry := l0, uint64(feed), uint64(p.frac), uint64(dt), uint64(p.carry)
-	for i := k; i > 0; i-- {
-		l += a
-		total := l*frac/1_000_000*d + carry
-		w := total / 1000
-		carry = total - 1000*w
-		l -= w
+	dcarry := s.decayCarry
+	var decayed units.Energy
+	for i, bitten := int64(0), int64(0); ; bitten++ {
+		end := k
+		if bitten < nb {
+			end = b.First + bitten*b.Every
+		}
+		for ; i < end; i++ {
+			l += a
+			total := l*frac/1_000_000*d + carry
+			w := total / 1000
+			carry = total - 1000*w
+			l -= w
+		}
+		if bitten == nb {
+			break
+		}
+		if leak := decayLeak(units.Energy(l), f, &dcarry); leak > 0 {
+			l -= uint64(leak)
+			decayed += leak
+		}
 	}
-	taxed := units.Energy(l0 + in - l)
+	taxed := units.Energy(l0+in-l) - decayed
 	s.level = units.Energy(l)
 	s.stats.In += units.Energy(in)
-	s.stats.Out += taxed
+	s.stats.Out += taxed + decayed
+	s.stats.Decayed += decayed
+	s.decayCarry = dcarry
 	p.carry = int64(carry)
 	if taxed > 0 {
 		p.sink.credit(taxed)
 		p.stats.Moved += taxed
+	}
+	if decayed > 0 {
+		g.battery.credit(decayed)
 	}
 }

@@ -17,7 +17,9 @@ import (
 // reserve form the backward-tap shape settleChunk settles on locals;
 // debt-allowed reserves let negative levels reach proportional taps; and
 // Graph.Decay between advances perturbs the levels the proportional
-// recurrences read. After every advance it asserts:
+// recurrences read, and advances with bites folded into the settled
+// chunks (SettleFlows with Bites) race per-batch Flow + Decay. After every
+// advance it asserts:
 //
 //   - byte-identical state (levels, carries, stats) between the two;
 //   - exact energy conservation on both
@@ -34,6 +36,10 @@ func FuzzSettle(f *testing.F) {
 	f.Add([]byte{0, 0x10, 0x27, 7, 0x10, 0xC4, 0x09, 2, 0x01, 0xE8, 0x03, 6, 99, 10, 6, 63, 10, 6, 63})
 	// The same shape on a reserve driven into debt first.
 	f.Add([]byte{8, 9, 0x01, 0x88, 0x13, 7, 0x10, 0xD0, 0x07, 2, 0x01, 0x20, 0xA1, 6, 63, 10, 6, 63, 6, 63, 6, 63})
+	// Bitten advances: the backward-tap shape, a reserve fed by a
+	// carry-odd constant tap, then a tap draining a decayable reserve.
+	f.Add([]byte{0, 0x10, 0x27, 7, 0x10, 0xC4, 0x09, 2, 0x01, 0xE8, 0x03, 11, 99, 0x1A, 11, 63, 0x02,
+		0, 0x20, 0x4E, 1, 0x20, 0x33, 0x01, 11, 63, 0x11, 1, 0x03, 0x10, 0x00, 11, 40, 0x09})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const battery = units.Joule
@@ -117,7 +123,7 @@ func FuzzSettle(f *testing.F) {
 			if count > 200 {
 				break // bound runtime
 			}
-			switch op % 11 {
+			switch op % 12 {
 			case 0: // new reserve, funded from the battery
 				amt, ok := next16(&i)
 				if !ok {
@@ -193,7 +199,7 @@ func FuzzSettle(f *testing.F) {
 					og.Flow(dt)
 					obill.bill(1)
 				}
-				sg.SettleFlows(dt, n, extra, sbill.bill)
+				sg.SettleFlows(dt, n, extra, sbill.bill, Bites{})
 				h1 := sg.HorizonBatches(dt, extra)
 				// Monotone up to one batch of slack for the interleaved
 				// drain's sub-µJ carry (see HorizonBatches).
@@ -233,6 +239,27 @@ func FuzzSettle(f *testing.F) {
 			case 10: // one global half-life step between advances
 				og.Decay(units.Second)
 				sg.Decay(units.Second)
+			case 11: // advance n batches with bites folded into the chunks
+				a, ok1 := next(&i)
+				c, ok2 := next(&i)
+				if !ok1 || !ok2 {
+					return
+				}
+				n := int64(a%64) + 1
+				b := Bites{First: int64(c%8) + 1, Every: int64(c>>3%4) + 1, DT: units.Minute}
+				if b.First <= n {
+					b.Count = (n-b.First)/b.Every + 1
+				}
+				extra := units.Milliwatts(699)
+				for j := int64(1); j <= n; j++ {
+					og.Flow(dt)
+					obill.bill(1)
+					if b.Count > 0 && j >= b.First && (j-b.First)%b.Every == 0 {
+						og.Decay(b.DT)
+					}
+				}
+				sg.SettleFlows(dt, n, extra, sbill.bill, b)
+				check("after bitten advance")
 			}
 		}
 		// Final state must agree even if the program ended mid-op.

@@ -99,7 +99,7 @@ func (tw *twins) step(n int64) {
 		tw.oracle.Flow(settleDT)
 		tw.obill.bill(1)
 	}
-	tw.subject.SettleFlows(settleDT, n, tw.baseline, tw.sbill.bill)
+	tw.subject.SettleFlows(settleDT, n, tw.baseline, tw.sbill.bill, Bites{})
 }
 
 // mutate applies the same mutation to both twins.
@@ -282,7 +282,7 @@ func TestHorizonMonotonic(t *testing.T) {
 	bill := &baselineBiller{g: g, power: extra}
 	for g.HorizonBatches(settleDT, extra) > 0 {
 		j := int64(7)
-		g.SettleFlows(settleDT, j, extra, bill.bill)
+		g.SettleFlows(settleDT, j, extra, bill.bill, Bites{})
 		settled += j
 		h := g.HorizonBatches(settleDT, extra)
 		// Monotone up to one batch of slack for the interleaved drain's
@@ -326,7 +326,7 @@ func TestHorizonOverflowGuard(t *testing.T) {
 		t.Fatalf("horizon = %d with overflow-scale drains, want 0 (conservative replay)", h)
 	}
 	// Settlement must still be exact (everything clamps immediately).
-	g.SettleFlows(settleDT, 3, 0, nil)
+	g.SettleFlows(settleDT, 3, 0, nil, Bites{})
 	if g.ConservationError() != 0 {
 		t.Fatalf("conservation violated: %v", g.ConservationError())
 	}
@@ -342,7 +342,7 @@ func TestSettleFlowHookFallsBack(t *testing.T) {
 	mustRate(t, tap, units.Milliwatts(1))
 	visits := 0
 	g.flowHook = func(*Tap) { visits++ }
-	g.SettleFlows(settleDT, 25, 0, nil)
+	g.SettleFlows(settleDT, 25, 0, nil, Bites{})
 	if visits != 25 {
 		t.Fatalf("flow hook saw %d visits, want 25 (settlement must not bypass the seam)", visits)
 	}
@@ -421,6 +421,18 @@ func takesBackwardTapLoop(g *Graph, extra units.Power) bool {
 	return p != nil
 }
 
+// foldsBites reports whether g's next chunk would fold its bites in.
+func foldsBites(g *Graph, extra units.Power) bool {
+	if g.planSettle(settleDT, extra) <= 0 {
+		return false
+	}
+	var p *Tap
+	if len(g.settleReplay) > 0 {
+		p, _ = g.backwardTap(settleDT, 1)
+	}
+	return g.planBites(p)
+}
+
 // runHoarder drives the twins the way the kernel meets a hoarder: chunks
 // of 100 batches (one per 1 s decay instant), Graph.Decay(1 s) after
 // each, and the hoarder's evasion TransferUpTo(hoard→stash) once a
@@ -492,6 +504,95 @@ func TestSettleBackwardTap(t *testing.T) {
 			// Debt falls back only until the feed has repaid it.
 			if tc.shape.debt > 0 && (fast == 0 || fast == 600) || tc.shape.debt == 0 && fast != 0 {
 				t.Fatalf("%d of 600 chunks took the backward-tap loop", fast)
+			}
+		})
+	}
+}
+
+// stepBites advances both twins by n batches with the bites of b: the
+// oracle one Flow, one baseline batch and (at a bitten batch) one Decay
+// at a time, the subject through SettleFlows.
+func (tw *twins) stepBites(n int64, b Bites) {
+	for j := int64(1); j <= n; j++ {
+		tw.oracle.Flow(settleDT)
+		tw.obill.bill(1)
+		if b.Count > 0 && j >= b.First && (j-b.First)%b.Every == 0 && (j-b.First)/b.Every < b.Count {
+			tw.oracle.Decay(b.DT)
+		}
+	}
+	tw.subject.SettleFlows(settleDT, n, tw.baseline, tw.sbill.bill, b)
+}
+
+// TestSettleFoldBites pins bite folding against per-batch Flow + Decay:
+// an untapped decayable reserve, one fed by a carry-odd constant tap and
+// a hoarder fold their bites into the chunk; a tap draining a decayable
+// reserve and a proportional tap on the battery end the chunk at each
+// bite instead. A 2-hour walk in uneven windows compares state after
+// every window.
+func TestSettleFoldBites(t *testing.T) {
+	const battery = 20 * units.Kilojoule
+	for _, tc := range []struct {
+		name     string
+		baseline units.Power
+		extra    func(t *testing.T, g *Graph, root *kobj.Container)
+		fold     bool
+	}{
+		{"foldable", units.Milliwatts(699), nil, true},
+		{"drained decayable", units.Milliwatts(699), func(t *testing.T, g *Graph, root *kobj.Container) {
+			mustRate(t, mustTap(t, g, root, "drain", reserveNamed(g, "stash"), g.Battery()), units.Milliwatts(3))
+		}, false},
+		// Without an interleaved battery drain the horizon admits a
+		// proportional tap on the battery, which alone is a backward-tap
+		// shape; the bites credit what it reads. The hoarder's and the
+		// fed reserve's feeds are retired so nothing else refuses.
+		{"battery read by a proportional tap", 0, func(t *testing.T, g *Graph, root *kobj.Container) {
+			for _, tp := range g.Taps() {
+				if err := g.Table().Delete(tp.ObjectID()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sink := g.NewReserve(root, "sink", label.Public(), ReserveOpts{DecayExempt: true})
+			mustFrac(t, mustTap(t, g, root, "bat-prop", g.Battery(), sink), 3)
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := tc.baseline
+			tw := newTwins(t, battery, baseline, func(g *Graph, root *kobj.Container) []*Tap {
+				g.halfLife = DefaultHalfLife
+				stash := g.NewReserve(root, "stash", label.Public(), ReserveOpts{})
+				fed := g.NewReserve(root, "fed", label.Public(), ReserveOpts{})
+				hoard := g.NewReserve(root, "hoard", label.Public(), ReserveOpts{})
+				for _, r := range []*Reserve{stash, hoard} {
+					if err := g.Transfer(label.Priv{}, g.Battery(), r, 50*units.Joule); err != nil {
+						t.Fatal(err)
+					}
+				}
+				mustRate(t, mustTap(t, g, root, "feed-fed", g.Battery(), fed), units.Milliwatts(37)+3)
+				mustRate(t, mustTap(t, g, root, "feed-hoard", g.Battery(), hoard), units.Milliwatts(250))
+				mustFrac(t, mustTap(t, g, root, "tax", hoard, g.Battery()), 1000)
+				if tc.extra != nil {
+					tc.extra(t, g, root)
+				}
+				return nil
+			})
+			if got := foldsBites(tw.subject, baseline); got != tc.fold {
+				t.Fatalf("bites fold = %v, want %v", got, tc.fold)
+			}
+			for w, done := int64(0), int64(0); done < 720_000; w++ {
+				n := 1 + (w*7919)%4000
+				b := Bites{First: 1 + (w*31)%100, Every: 100, DT: units.Second}
+				if b.First <= n {
+					b.Count = (n-b.First)/b.Every + 1
+				}
+				tw.stepBites(n, b)
+				done += n
+				tw.compare(fmt.Sprintf("window %d", w))
+			}
+			if reserveNamed(tw.subject, "stash").stats.Decayed == 0 || reserveNamed(tw.subject, "hoard").stats.Decayed == 0 {
+				t.Fatal("stash or hoard reserve never decayed: the test exercises nothing")
+			}
+			if tc.fold && reserveNamed(tw.subject, "fed").stats.Decayed == 0 {
+				t.Fatal("fed reserve never decayed: the telescoped-feed fold is not exercised")
 			}
 		})
 	}

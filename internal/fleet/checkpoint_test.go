@@ -287,40 +287,53 @@ func TestDeadDevicePassthrough(t *testing.T) {
 }
 
 // TestWatchEquivalence: the adaptive battery watch must detect every
-// death at exactly the instant dense per-second polling does.
+// death at exactly the instant dense per-second polling does. The watch
+// defers across constant taps out of the battery, so the adversarial
+// and month subtests are picked to die while such taps drain it: the
+// seed-5 hoarders adv-lax 1, adv-strict 6 and 7 die feeding their taxed
+// reserves, and month seed 18's commuter 3 dies with two wrapped apps
+// tapping the battery.
 func TestWatchEquivalence(t *testing.T) {
-	cfg := Config{
-		Devices:         10,
-		Seed:            9,
-		Duration:        30 * units.Hour,
-		Workers:         2,
-		Scenario:        DayInTheLife(),
-		BatteryCapacity: 18 * units.Kilojoule, // deaths mid-run
-		KeepResults:     true,
-	}
-	adaptive, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DenseWatch = true
-	dense, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Canonical comparison: the adaptive watch executes fewer engine
-	// instants (that is its point), so the step diagnostics differ;
-	// everything observable — consumption, every death instant,
-	// utilization, workload counters — must match to the byte.
-	aj, err1 := adaptive.CanonicalJSON(true)
-	dj, err2 := dense.CanonicalJSON(true)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !bytes.Equal(aj, dj) {
-		t.Fatalf("adaptive battery watch diverged from dense polling:\n%s\nvs\n%s", aj, dj)
-	}
-	if adaptive.Dead == 0 {
-		t.Fatal("test fleet had no deaths; watch equivalence not exercised")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"dayinthelife", Config{
+			Devices: 10, Seed: 9, Duration: 30 * units.Hour, Scenario: DayInTheLife(),
+			BatteryCapacity: 18 * units.Kilojoule, // deaths mid-run
+		}},
+		{"adversarial", Config{Devices: 12, Seed: 5, Duration: 24 * units.Hour, Scenario: AdversarialCohorts()}},
+		{"monthinthelife", Config{Devices: 4, Seed: 18, Duration: 190 * units.Hour, Scenario: MonthInTheLife()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Workers = 2
+			cfg.KeepResults = true
+			adaptive, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.DenseWatch = true
+			dense, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Canonical comparison: the adaptive watch executes fewer engine
+			// instants (that is its point), so the step diagnostics differ;
+			// everything observable — consumption, every death instant,
+			// utilization, workload counters — must match to the byte.
+			aj, err1 := adaptive.CanonicalJSON(true)
+			dj, err2 := dense.CanonicalJSON(true)
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			if !bytes.Equal(aj, dj) {
+				t.Fatalf("adaptive battery watch diverged from dense polling:\n%s\nvs\n%s", aj, dj)
+			}
+			if adaptive.Dead == 0 {
+				t.Fatal("test fleet had no deaths; watch equivalence not exercised")
+			}
+		})
 	}
 }
 

@@ -12,7 +12,9 @@
 //   - the scheduler runs every tick (1 ms quantum);
 //   - taps flow in batch every TapBatch (10 ms), "to minimize scheduling
 //     and context-switch overheads" (§3.3);
-//   - the global half-life decay applies every second (§5.2.2).
+//   - the global half-life decay applies every second (§5.2.2); under
+//     closed-form settlement, while every device is quiescent, its
+//     bites settle inside the flow chunks that contain them instead.
 //
 // Baseline device power (the Dream's 699 mW idle, plus 555 mW when the
 // backlight is on) is consumed directly from the battery each batch, so
@@ -188,6 +190,15 @@ type Kernel struct {
 	// so settleBatches can hand SettleFlows its interleave callback
 	// without allocating a closure per settlement window.
 	billBaselineFn func(int64)
+	// Lazy decay (closed-form settlement with a tap batch dividing 1 s):
+	// decayPending is the earliest 1 s bite not yet applied. While every
+	// device is quiescent and no decay pinner objects, the decay task
+	// parks and settlement applies the bites inside the chunks that
+	// contain them; otherwise the task fires on its grid, as per-batch
+	// settlement always does.
+	lazyDecay    bool
+	decayPending units.Time
+	decayPinners []DecayPinner
 	// settlers are the registered SweepSettlers (netd, the battery
 	// charger), synchronized at every executed instant and invalidated
 	// from the activity hooks.
@@ -285,6 +296,15 @@ type SweepSettler interface {
 	InvalidateSweeps()
 }
 
+// DecayPinner is optionally implemented by sweep settlers whose
+// closed-form prediction relies on decay bites landing at executed
+// instants (netd's waiter reserves are decayable). While PinsDecay
+// reports true the decay task stays on its 1 s grid; a settler that
+// starts relying on it calls Kernel.PinDecay.
+type DecayPinner interface {
+	PinsDecay() bool
+}
+
 // SettleGuardDevice optionally refines SettleableDevice for devices
 // whose billing targets vary (smdd bills whichever thread placed the
 // current call): SettleSafe judges, from the device's own knowledge of
@@ -352,8 +372,11 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	k.tapsPending = 0
 	k.devicesPending = 0
 	k.billBaselineFn = k.billBaselineBatches
+	k.decayPending = 0
 	clear(k.settlers)
 	k.settlers = k.settlers[:0]
+	clear(k.decayPinners)
+	k.decayPinners = k.decayPinners[:0]
 	k.charger = nil
 
 	batteryLabel := label.Public().With(k.sysCategory, label.Level2)
@@ -413,19 +436,26 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 		k.maybeDeferBatchTask(e, k.taskBaseline)
 	})
 	k.taskDecay = nil
+	k.lazyDecay = k.lazySettle && k.Graph.HalfLife() >= 0 && units.Second%cfg.TapBatch == 0
 	if k.Graph.HalfLife() >= 0 {
-		k.taskDecay = eng.Every("kernel:decay", units.Second, func(*sim.Engine) {
-			k.Graph.Decay(units.Second)
+		k.taskDecay = eng.Every("kernel:decay", units.Second, func(e *sim.Engine) {
+			k.fireDecay(e.Now())
 			// While no decayable reserve exists, every firing is a no-op
 			// by construction; park until one is created. This is what
 			// lets a quiescent device skip whole simulated hours — the
 			// 1 s decay cadence is otherwise the densest permanent task.
-			if k.Graph.DecayableCount() == 0 {
+			// Under lazy decay the task also parks while settlement can
+			// apply the bites itself.
+			if k.Graph.DecayableCount() == 0 || k.decayParkable() {
 				k.taskDecay.Park()
 			}
 		})
 		k.Graph.SetDecayActivityHook(func() {
-			k.taskDecay.Resume()
+			if k.lazyDecay {
+				k.taskDecay.ResumeAt(k.decayPending)
+			} else {
+				k.taskDecay.Resume()
+			}
 			// A new decayable reserve introduces 1 s decay bites that a
 			// sweep settler's prediction did not model.
 			k.invalidateSettlers()
@@ -658,6 +688,40 @@ func (k *Kernel) resumeKernelTasks() {
 	k.invalidateSettlers()
 }
 
+// deviceActivity is the activity hook of devices that leave quiescence
+// asynchronously: besides the kernel-wide resume, it puts the decay task
+// back on its grid, because settlement orders bites after whole chunks
+// and device billing into decayable reserves would observe that.
+func (k *Kernel) deviceActivity() {
+	k.resumeKernelTasks()
+	k.PinDecay()
+}
+
+// PinDecay returns a lazily parked decay task to its 1 s grid, at the
+// first bite not yet applied. The task re-parks from its own firing once
+// decayParkable holds again; a DecayPinner keeps it on the grid for as
+// long as it reports true.
+func (k *Kernel) PinDecay() {
+	if k.lazyDecay && k.Graph.DecayableCount() > 0 {
+		k.taskDecay.ResumeAt(k.decayPending)
+	}
+}
+
+// decayParkable reports whether bites may settle lazily: every device is
+// quiescent (no device billing to order against them) and no decay
+// pinner relies on bites at executed instants.
+func (k *Kernel) decayParkable() bool {
+	if !k.lazyDecay || !k.devicesQuiescent() {
+		return false
+	}
+	for _, p := range k.decayPinners {
+		if p.PinsDecay() {
+			return false
+		}
+	}
+	return true
+}
+
 // invalidateSettlers drops every registered sweep settler's prediction.
 func (k *Kernel) invalidateSettlers() {
 	for _, s := range k.settlers {
@@ -697,6 +761,9 @@ func (k *Kernel) syncAtAdvance(now units.Time) {
 //   - this is not a RunUntil entry instant, where rewindDue is about to
 //     re-arm the parked tasks for the Run-boundary re-step — settling
 //     through now as well would perform the boundary work twice.
+//
+// The decay task may be due here: it fires after the boundary work in
+// its own slot, so only bites it will not fire itself settle through now.
 func (k *Kernel) fastBoundary(now units.Time) bool {
 	if k.taskDevices.NextDue() <= now || k.taskTaps.NextDue() <= now ||
 		k.taskBaseline.NextDue() <= now || k.taskSched.NextDue() <= now {
@@ -709,11 +776,12 @@ func (k *Kernel) fastBoundary(now units.Time) bool {
 	if !k.devicesQuiescent() && !k.devicesSettleable() {
 		return false
 	}
-	if k.devicesPending > now && k.tapsPending > now && k.baselinePending > now {
+	decayLimit := k.decayLimit(now)
+	if k.devicesPending > now && k.tapsPending > now && k.baselinePending > now && k.decayPending > decayLimit {
 		k.syncSettlers(now)
 		return true // nothing due through now
 	}
-	k.settleWindow(now, now, now)
+	k.settleWindow(now, now, now, decayLimit)
 	k.syncSettlers(now)
 	return true
 }
@@ -734,19 +802,21 @@ func (k *Kernel) syncSettlers(now units.Time) {
 // billBaselineBatches self-guard their own clamping exactly; otherwise
 // the depletion horizon must clear the whole window before device
 // billing may be reordered against flows, and a window it cannot clear
-// replays instant by instant.
-func (k *Kernel) settleWindow(devLimit, flowLimit, baseLimit units.Time) {
+// replays instant by instant — as does one with bites that could read a
+// device-billed level (the decay task stays on its grid while a device
+// is active, so only a defensive fallback reaches that case).
+func (k *Kernel) settleWindow(devLimit, flowLimit, baseLimit, decayLimit units.Time) {
 	if k.devicesQuiescent() {
 		k.settleDevices(devLimit)
-		k.settleBatches(flowLimit, baseLimit)
+		k.settleBatches(flowLimit, baseLimit, decayLimit)
 		return
 	}
-	if !k.windowSafe(devLimit, flowLimit, baseLimit) {
-		k.replayWindow(devLimit, flowLimit, baseLimit)
+	if (k.decayPending <= decayLimit && k.Graph.DecayableCount() > 0) || !k.windowSafe(devLimit, flowLimit, baseLimit) {
+		k.replayWindow(devLimit, flowLimit, baseLimit, decayLimit)
 		return
 	}
 	k.settleDevices(devLimit)
-	k.settleBatches(flowLimit, baseLimit)
+	k.settleBatches(flowLimit, baseLimit, decayLimit)
 }
 
 // syncAt is the engine's advance hook: it runs once per executed
@@ -778,6 +848,9 @@ func (k *Kernel) syncAt(now units.Time) {
 	if k.baselinePending == now && k.taskBaseline.NextDue() > now {
 		k.taskBaseline.ResumeAt(now)
 	}
+	if k.lazyDecay && k.decayPending == now && k.taskDecay.NextDue() > now {
+		k.taskDecay.ResumeAt(now)
+	}
 	k.syncSettlers(now)
 }
 
@@ -791,9 +864,22 @@ func syncLimit(now units.Time, t *sim.Task) units.Time {
 	return limit
 }
 
-// fireDevices / fireTaps / fireBaseline perform exactly one firing's
-// worth of work at the given instant and advance the matching pending
-// cursor. They are the single definition shared by the periodic task
+// decayLimit bounds lazy bite settlement through limit, and never at or
+// past the decay task's own next firing; without lazy decay no bite
+// settles lazily.
+func (k *Kernel) decayLimit(limit units.Time) units.Time {
+	if !k.lazyDecay {
+		return -1
+	}
+	if nd := k.taskDecay.NextDue(); nd-1 < limit {
+		limit = nd - 1
+	}
+	return limit
+}
+
+// fireDevices / fireTaps / fireBaseline / fireDecay perform exactly one
+// firing's worth of work at the given instant and advance the matching
+// pending cursor. They are the single definition shared by the periodic task
 // callbacks, the exact-replay fallback and the end-of-Run settlement,
 // so the three paths cannot drift apart.
 func (k *Kernel) fireDevices(now units.Time) {
@@ -820,6 +906,13 @@ func (k *Kernel) fireBaseline(now units.Time) {
 	}
 }
 
+func (k *Kernel) fireDecay(now units.Time) {
+	k.Graph.Decay(units.Second)
+	if due := now + units.Second; due > k.decayPending {
+		k.decayPending = due
+	}
+}
+
 // syncPendingBefore settles every pending tap batch, baseline batch and
 // device tick strictly before now. When the depletion horizon proves no
 // reserve can clamp anywhere in the window — counting worst-case tap
@@ -832,10 +925,11 @@ func (k *Kernel) syncPendingBefore(now units.Time) {
 	devLimit := syncLimit(now, k.taskDevices)
 	flowLimit := syncLimit(now, k.taskTaps)
 	baseLimit := syncLimit(now, k.taskBaseline)
-	if k.devicesPending > devLimit && k.tapsPending > flowLimit && k.baselinePending > baseLimit {
+	decayLimit := k.decayLimit(now - 1)
+	if k.devicesPending > devLimit && k.tapsPending > flowLimit && k.baselinePending > baseLimit && k.decayPending > decayLimit {
 		return
 	}
-	k.settleWindow(devLimit, flowLimit, baseLimit)
+	k.settleWindow(devLimit, flowLimit, baseLimit, decayLimit)
 }
 
 // windowSafe reports whether the whole pending window is clamp-free
@@ -883,30 +977,46 @@ func (k *Kernel) settleDevices(devLimit units.Time) {
 	k.devicesPending = devLimit + tick
 }
 
-// settleBatches advances the tap-flow and baseline cursors through their
-// pending boundaries. The two grids coincide (same period and phase), so
-// aligned boundaries settle as interleaved chunks — the graph picks the
-// chunk size from its depletion horizon and bills the matching number of
-// baseline batches after each chunk, preserving the flow-then-baseline
-// order of every boundary.
-func (k *Kernel) settleBatches(flowLimit, baseLimit units.Time) {
-	for k.tapsPending <= flowLimit || k.baselinePending <= baseLimit {
-		ft, bt := k.tapsPending, k.baselinePending
-		flowDue, baseDue := ft <= flowLimit, bt <= baseLimit
+// settleBatches advances the tap-flow, baseline and decay cursors
+// through their pending boundaries. The flow and baseline grids coincide
+// (same period and phase), so aligned boundaries settle as interleaved
+// chunks — the graph picks the chunk size from its depletion horizon and
+// bills the matching number of baseline batches after each chunk,
+// preserving the flow-then-baseline order of every boundary. The 1 s
+// bite grid lies on the same boundaries; the chunk applies each bite
+// after its boundary's flow and baseline work, the task order.
+func (k *Kernel) settleBatches(flowLimit, baseLimit, decayLimit units.Time) {
+	for {
+		ft, bt, dc := k.tapsPending, k.baselinePending, k.decayPending
+		flowDue, baseDue, decayDue := ft <= flowLimit, bt <= baseLimit, dc <= decayLimit
 		switch {
+		case decayDue && (!flowDue || dc < ft) && (!baseDue || dc < bt):
+			k.fireDecay(dc)
 		case flowDue && baseDue && ft == bt:
 			n := int64((flowLimit-ft)/k.tapBatch) + 1
 			if nb := int64((baseLimit-bt)/k.tapBatch) + 1; nb < n {
 				n = nb
 			}
-			k.Graph.SettleFlows(k.tapBatch, n, k.baselinePower(), k.billBaselineFn)
 			d := units.Time(n) * k.tapBatch
+			var bites core.Bites
+			if last := min(ft+d-k.tapBatch, decayLimit); decayDue && dc <= last {
+				bites = core.Bites{
+					First: int64((dc-ft)/k.tapBatch) + 1,
+					Every: int64(units.Second / k.tapBatch),
+					Count: int64((last-dc)/units.Second) + 1,
+					DT:    units.Second,
+				}
+			}
+			k.Graph.SettleFlows(k.tapBatch, n, k.baselinePower(), k.billBaselineFn, bites)
 			k.tapsPending += d
 			k.baselinePending += d
+			k.decayPending += units.Time(bites.Count) * units.Second
 		case flowDue && (!baseDue || ft < bt):
 			k.fireTaps(ft)
-		default:
+		case baseDue:
 			k.fireBaseline(bt)
+		default:
+			return
 		}
 	}
 }
@@ -915,7 +1025,7 @@ func (k *Kernel) settleBatches(flowLimit, baseLimit units.Time) {
 // task order — device ticks, then the tap batch, then the baseline batch
 // at each boundary — the fallback when a reserve could clamp inside the
 // window and ordering therefore matters.
-func (k *Kernel) replayWindow(devLimit, flowLimit, baseLimit units.Time) {
+func (k *Kernel) replayWindow(devLimit, flowLimit, baseLimit, decayLimit units.Time) {
 	for {
 		t := units.Time(math.MaxInt64)
 		if k.devicesPending <= devLimit && k.devicesPending < t {
@@ -926,6 +1036,9 @@ func (k *Kernel) replayWindow(devLimit, flowLimit, baseLimit units.Time) {
 		}
 		if k.baselinePending <= baseLimit && k.baselinePending < t {
 			t = k.baselinePending
+		}
+		if k.decayPending <= decayLimit && k.decayPending < t {
+			t = k.decayPending
 		}
 		if t == units.Time(math.MaxInt64) {
 			return
@@ -938,6 +1051,9 @@ func (k *Kernel) replayWindow(devLimit, flowLimit, baseLimit units.Time) {
 		}
 		if k.baselinePending == t && t <= baseLimit {
 			k.fireBaseline(t)
+		}
+		if k.decayPending == t && t <= decayLimit {
+			k.fireDecay(t)
 		}
 	}
 }
@@ -1024,6 +1140,9 @@ func (k *Kernel) settle() {
 		}
 		if k.baselinePending == now && k.taskBaseline.NextDue() > now {
 			k.fireBaseline(now)
+		}
+		if k.lazyDecay && k.decayPending == now && k.taskDecay.NextDue() > now {
+			k.fireDecay(now)
 		}
 		for _, s := range k.settlers {
 			s.SettleSweeps(now)
@@ -1127,15 +1246,19 @@ func (k *Kernel) AddDevice(d Device) {
 	}
 	k.devices = append(k.devices, e)
 	if n, ok := d.(deviceActivityNotifier); ok {
-		n.SetActivityHook(k.resumeKernelTasks)
+		n.SetActivityHook(k.deviceActivity)
 	}
 	k.taskDevices.Resume()
+	k.PinDecay()
 }
 
 // AddSweepSettler registers a subsystem's closed-form sweep settlement
 // with the kernel's per-instant synchronization (see SweepSettler).
 func (k *Kernel) AddSweepSettler(s SweepSettler) {
 	k.settlers = append(k.settlers, s)
+	if p, ok := s.(DecayPinner); ok {
+		k.decayPinners = append(k.decayPinners, p)
+	}
 }
 
 // LazySettle reports whether this kernel runs closed-form settlement on
@@ -1199,38 +1322,60 @@ func (k *Kernel) BatteryExhaustedFor(d units.Time) bool {
 // provably cannot reach exhaustion, for adaptive battery watchdogs (the
 // fleet's per-second battery watch defers itself to this horizon
 // instead of polling 86 400 times per simulated day). It returns 0 —
-// "do not defer" — unless the device is fully quiescent right now: no
-// active tap, no runnable thread, every peripheral quiescent. In that
-// state the baseline draw is the only drain on the battery, and every
-// way the device can leave the state begins at an executed instant,
-// which only occurs where an event or another task is due — so the
-// horizon is the earlier of (a) the instant baseline draw alone could
+// "do not defer" — while a thread is runnable, a proportional tap
+// drains the battery, or an active device cannot be settled. Otherwise
+// the battery drains only through lazily settled work whose rate is
+// known: the baseline, the constant taps out of the battery and the
+// active devices' peak draw (decay bites and charger credits only add),
+// and every way the device can leave the state begins at an executed
+// instant, which only occurs where an event or another task is due. So
+// the horizon is the earlier of (a) the instant that budget could
 // approach the exhaustion threshold, with a full watch period plus one
 // batch of slack so the watchdog's own grid re-check lands strictly
-// before exhaustion, and (b) the engine's earliest other pending work
-// (`except` is the watchdog itself). Deferring to the horizon detects
-// battery death at exactly the same grid instant dense polling would,
-// which the fleet's dense-watch differential test asserts.
+// before exhaustion, and 1 µJ per tap carry and device, and (b) the
+// engine's earliest other pending work (`except` is the watchdog
+// itself). Deferring to the horizon detects battery death at exactly
+// the same grid instant dense polling would, which the fleet's
+// dense-watch differential test asserts.
 func (k *Kernel) WatchHorizon(except *sim.Task) units.Time {
-	if k.Eng.Mode() != sim.ModeNextEvent {
+	if k.Eng.Mode() != sim.ModeNextEvent || k.Sched.RunnableCount() > 0 {
 		return 0
 	}
-	if k.Graph.ActiveTapCount() > 0 || k.Sched.RunnableCount() > 0 || !k.devicesQuiescent() {
-		return 0
-	}
-	lvl, err := k.Graph.Battery().Level(k.kpriv)
+	bat := k.Graph.Battery()
+	lvl, err := bat.Level(k.kpriv)
 	if err != nil {
 		return 0
 	}
 	p := k.baselinePower()
+	drain := p
+	var slack units.Energy
+	k.skipTaps = k.Graph.TapsFrom(bat, k.skipTaps[:0])
+	for _, t := range k.skipTaps {
+		if t.Kind() != core.TapConst {
+			return 0
+		}
+		drain += t.Rate()
+		slack++
+	}
+	for i := range k.devices {
+		d := &k.devices[i]
+		if d.quiescent != nil && d.quiescent.Quiescent() {
+			continue
+		}
+		if d.settleable == nil {
+			return 0
+		}
+		drain += d.settleable.PeakDraw()
+		slack++
+	}
 	thresh := p.Over(k.tapBatch)
 	// Slack: the exhaustion threshold itself, one extra batch for carry
 	// rounding, and one watch period for the deferral's grid ceiling.
-	margin := lvl - 2*thresh
-	if margin <= 0 || p <= 0 {
+	margin := lvl - 2*thresh - slack
+	if margin <= 0 || drain <= 0 {
 		return 0
 	}
-	safe := units.Time(int64(margin) * 1000 / int64(p))
+	safe := units.Time(int64(margin) * 1000 / int64(drain))
 	period := units.Time(units.Second)
 	if except != nil {
 		period = except.Period

@@ -118,6 +118,10 @@ func (k *Kernel) Restore(r *snap.Reader) error {
 	k.baselinePending = baselinePending
 	k.tapsPending = tapsPending
 	k.devicesPending = devicesPending
+	// Snapshots are taken between Runs, after settle(): every bite
+	// through the snapshot instant is applied, by the decay task or by
+	// settlement, so the decay cursor is the first whole second after it.
+	k.decayPending = (k.Eng.Now()/units.Second + 1) * units.Second
 	return nil
 }
 

@@ -52,6 +52,10 @@ type scenario struct {
 	pollers []pollerSpec
 	changes []rateChange
 	chunks  []units.Time
+	// decay runs the kernel with the default half-life instead of none;
+	// sweep, when set, overrides netd's sweep period.
+	decay bool
+	sweep units.Time
 }
 
 // decodeScenario maps fuzz bytes onto 1–3 pollers (rate, period, phase,
@@ -136,9 +140,13 @@ func newRigMode(t testing.TB, kcfg kernel.Config, cfg Config) *rig {
 // exactly, in integer microjoules.
 func runScenario(t testing.TB, em sim.Mode, km, nm kernel.SettleMode, sc scenario, invariants bool) []chunkState {
 	t.Helper()
+	halfLife := units.Time(-1)
+	if sc.decay {
+		halfLife = core.DefaultHalfLife
+	}
 	r := newRigMode(t,
-		kernel.Config{Seed: 7, DecayHalfLife: -1, EngineMode: em, Settle: km},
-		Config{Cooperative: true, QuiescentSweep: true, NoPoolTrace: true, Settle: nm})
+		kernel.Config{Seed: 7, DecayHalfLife: halfLife, EngineMode: em, Settle: km},
+		Config{Cooperative: true, QuiescentSweep: true, NoPoolTrace: true, Settle: nm, SweepPeriod: sc.sweep})
 	kp := r.k.KernelPriv()
 
 	var (
@@ -292,20 +300,45 @@ func TestThreeWaySettleDifferential(t *testing.T) {
 	}
 }
 
+// TestSettleDifferentialWithDecay repeats the per-sweep vs closed-form
+// comparison with the global half-life on. The waiters' reserves are
+// decayable, and closed-form settlement settles decay bites lazily, so a
+// deferred sweep must keep the decay task on its grid (netd pins it):
+// replayThrough assumes every bite lands at an executed instant. A
+// 300 ms sweep period keeps sweep boundaries off most decay seconds: a
+// bite instant on a deferred boundary hands the firing back to the
+// sweep task, whose re-prediction re-pins the decay task, and would
+// hide a deferral that let bites settle lazily.
+func TestSettleDifferentialWithDecay(t *testing.T) {
+	for i, seed := range fuzzSeeds {
+		sc := decodeScenario(seed)
+		sc.decay, sc.sweep = true, 300*units.Millisecond
+		perSweep := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettlePerBatch, sc, false)
+		closed := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettleClosedForm, sc, true)
+		if d := diffStates(perSweep, closed); d != "" {
+			t.Errorf("scenario %d: per-sweep vs closed-form: %s", i, d)
+		}
+	}
+}
+
 // FuzzPoolSettle drives per-sweep and closed-form rigs through the same
-// fuzz-decoded scenario and requires identical chunk states, alongside
-// the mid-run probe invariants (future-only predictions, monotonicity
-// absent new information, no pool overshoot, conservation).
+// fuzz-decoded scenario, without and with the global half-life, and
+// requires identical chunk states, alongside the mid-run probe
+// invariants (future-only predictions, monotonicity absent new
+// information, no pool overshoot, conservation).
 func FuzzPoolSettle(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := decodeScenario(data)
-		perSweep := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettlePerBatch, sc, false)
-		closed := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettleClosedForm, sc, true)
-		if d := diffStates(perSweep, closed); d != "" {
-			t.Fatalf("per-sweep vs closed-form diverged: %s", d)
+		for _, decay := range []bool{false, true} {
+			sc.decay = decay
+			perSweep := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettlePerBatch, sc, false)
+			closed := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettleClosedForm, sc, true)
+			if d := diffStates(perSweep, closed); d != "" {
+				t.Fatalf("decay %v: per-sweep vs closed-form diverged: %s", decay, d)
+			}
 		}
 	})
 }

@@ -407,6 +407,7 @@ func (n *Netd) maybeSettle(now units.Time) {
 	n.sweepTask.DeferUntil(t)
 	n.settling = true
 	n.predicted = t
+	n.k.PinDecay()
 }
 
 // settleGuard reports whether the pooling loop is in the regime the
@@ -424,9 +425,10 @@ func (n *Netd) maybeSettle(now units.Time) {
 //     fed only by constant-rate taps (proportional inflow is
 //     level-coupled and does not telescope).
 //
-// Decay needs no guard: decay bites occur at executed 1 s instants,
-// the settler is synchronized before each, and a prediction that
-// ignores future bites only errs early.
+// Decay needs no guard here: while a sweep is deferred netd pins the
+// kernel's decay task to its 1 s grid (PinsDecay), so bites occur at
+// executed instants, the settler is synchronized before each, and a
+// prediction that ignores future bites only errs early.
 func (n *Netd) settleGuard() bool {
 	if n.cfg.SweepPeriod%n.k.TapBatch() != 0 {
 		return false
@@ -630,6 +632,12 @@ func (n *Netd) InvalidateSweeps() {
 	n.sweepTask.Resume()
 }
 
+// PinsDecay implements kernel.DecayPinner: the replay fixup assumes
+// every decay bite on a waiter's reserve lands at an executed instant,
+// after the settler has synchronized, so a deferred sweep keeps the
+// kernel's decay task on its grid.
+func (n *Netd) PinsDecay() bool { return n.settling }
+
 // PredictedFire returns the instant the deferred sweep expects the pool
 // to cross the threshold, or 0 while the sweep rides its periodic grid
 // (diagnostics; the fuzz harness asserts it stays on the sweep grid,
@@ -758,4 +766,7 @@ func (n *Netd) Restore(r *snap.Reader) error {
 	return nil
 }
 
-var _ kernel.SweepSettler = (*Netd)(nil)
+var (
+	_ kernel.SweepSettler = (*Netd)(nil)
+	_ kernel.DecayPinner  = (*Netd)(nil)
+)

@@ -75,30 +75,35 @@ func Registry() []Scenario {
 		},
 		{
 			Name:  "monthinthelife",
-			About: "30-day horizon with overnight charges; smoke folds in the charger-settlement equivalence check",
+			About: "30-day horizon with overnight charges; smoke folds in the charger-settlement and dense-watch equivalence checks",
 			Tiers: map[string]Spec{
 				// The 26 h horizon crosses an overnight charge; per-charge
-				// settlement, alone and stacked on per-batch taps, must
-				// reproduce the closed-form report exactly.
+				// settlement, alone and stacked on per-batch taps, and the
+				// dense per-second battery watch must reproduce the
+				// closed-form report exactly.
 				TierSmoke: {Budget: time.Minute, Run: settleEquivRun(fleetCfg("monthinthelife", 16, 11, 26*units.Hour),
 					settleVariant{"per-charge", func(c *fleet.Config) { c.ChargerSettle = kernel.SettlePerBatch }},
 					settleVariant{"per-charge + per-batch taps", func(c *fleet.Config) {
 						c.ChargerSettle = kernel.SettlePerBatch
 						c.Settle = kernel.SettlePerBatch
 					}},
+					settleVariant{"dense watch", func(c *fleet.Config) { c.DenseWatch = true }},
 				)},
 				TierNightly: {Budget: 5 * time.Minute, Run: plainRun(fleetCfg("monthinthelife", 150, 11, 30*24*units.Hour))},
 			},
 		},
 		{
 			Name:  "adversarial",
-			About: "§5.2.2 cohorts (adv-victim phones, adv-lax and adv-strict hoarders); smoke folds in the backward-tap settlement equivalence check",
+			About: "§5.2.2 cohorts (adv-victim phones, adv-lax and adv-strict hoarders); smoke folds in the backward-tap settlement and dense-watch equivalence checks",
 			Tiers: map[string]Spec{
 				// The hoarder cohorts settle their backward taps on locals
-				// (core's backward-tap loop); replaying every batch through
-				// Graph.Flow must reproduce the closed-form report exactly.
+				// (core's backward-tap loop) with the decay bites folded in;
+				// replaying every batch through Graph.Flow, and polling the
+				// battery every second while the feeds drain it, must
+				// reproduce the closed-form report exactly.
 				TierSmoke: {Budget: time.Minute, Run: settleEquivRun(fleetCfg("adversarial", 64, 1, 6*units.Hour),
 					settleVariant{"per-batch taps", func(c *fleet.Config) { c.Settle = kernel.SettlePerBatch }},
+					settleVariant{"dense watch", func(c *fleet.Config) { c.DenseWatch = true }},
 				)},
 				TierNightly: {Budget: 10 * time.Minute, Run: plainRun(fleetCfg("adversarial", 1000, 1, 24*units.Hour))},
 			},
