@@ -407,104 +407,89 @@ func BenchmarkAblationProportionalTaps(b *testing.B) {
 
 // --- Engine benches --------------------------------------------------------
 
+// benchModes are the kernel modes the A/B benchmarks run under, fast
+// path first.
+var benchModes = []kernel.Mode{kernel.ClosedForm, kernel.PerBatch, kernel.FixedTick}
+
 // BenchmarkEngineIdleDevice measures the next-event engine on the
 // workload it was built for: a powered-on but idle phone (kernel, radio
 // asleep, decay on, no runnable threads) simulated for 10 minutes. The
 // quiescence machinery parks every per-tick task, so the engine executes
-// a handful of instants instead of 600k.
+// a handful of instants instead of 600k; the fixed-tick sub-benchmark
+// walks them all, for the A/B ratio recorded in BENCH_engine.json.
 func BenchmarkEngineIdleDevice(b *testing.B) {
-	benchIdleDevice(b, sim.ModeNextEvent)
-}
-
-// BenchmarkEngineIdleDeviceFixedTick is the same device under the
-// fixed-tick compat engine — the seed's behaviour — for the A/B ratio
-// recorded in BENCH_engine.json.
-func BenchmarkEngineIdleDeviceFixedTick(b *testing.B) {
-	benchIdleDevice(b, sim.ModeFixedTick)
-}
-
-func benchIdleDevice(b *testing.B, mode sim.Mode) {
-	b.Helper()
-	var consumed units.Energy
-	for i := 0; i < b.N; i++ {
-		k := kernel.New(kernel.Config{Seed: 42, EngineMode: mode})
-		r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
-		k.AddDevice(r)
-		k.Run(10 * units.Minute)
-		consumed = k.Consumed()
+	for _, mode := range benchModes {
+		b.Run(mode.String(), func(b *testing.B) {
+			var consumed units.Energy
+			for i := 0; i < b.N; i++ {
+				k := kernel.New(kernel.Config{Seed: 42, Mode: mode})
+				r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
+				k.AddDevice(r)
+				k.Run(10 * units.Minute)
+				consumed = k.Consumed()
+			}
+			b.ReportMetric(consumed.Joules(), "J-consumed")
+		})
 	}
-	b.ReportMetric(consumed.Joules(), "J-consumed")
 }
 
 // BenchmarkBusyTapDevice measures the closed-form settlement fast path
 // on the workload it was built for: a device with an always-active
-// constant tap and periodic radio polls, simulated for 10 minutes.
+// constant tap and periodic radio polls, simulated for 10 minutes. The
+// per-batch sub-benchmark is the PR 2 busy path, for the A/B ratio
+// recorded in BENCH_flow.json.
 func BenchmarkBusyTapDevice(b *testing.B) {
-	benchBusyTapDevice(b, kernel.SettleClosedForm)
-}
-
-// BenchmarkBusyTapDevicePerBatch is the same device with settlement
-// disabled — the PR 2 busy path — for the A/B ratio recorded in
-// BENCH_flow.json.
-func BenchmarkBusyTapDevicePerBatch(b *testing.B) {
-	benchBusyTapDevice(b, kernel.SettlePerBatch)
-}
-
-func benchBusyTapDevice(b *testing.B, settle kernel.SettleMode) {
-	b.Helper()
-	var consumed units.Energy
-	for i := 0; i < b.N; i++ {
-		k := kernel.New(kernel.Config{Seed: 42, Settle: settle})
-		r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
-		k.AddDevice(r)
-		app := k.CreateReserve(k.Root, "app", label.Public())
-		tap, err := k.CreateTap(k.Root, "tap", k.KernelPriv(), k.Battery(), app, label.Public())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tap.SetRate(k.KernelPriv(), units.Milliwatts(79)); err != nil {
-			b.Fatal(err)
-		}
-		for at := units.Time(1500); at < 10*units.Minute; at += 45 * units.Second {
-			at := at
-			k.Eng.At(at, func(e *sim.Engine) {
-				r.Exchange(e.Now(), 300, 12<<10, app, k.KernelPriv(), nil)
-			})
-		}
-		k.Run(10 * units.Minute)
-		consumed = k.Consumed()
+	for _, mode := range benchModes {
+		b.Run(mode.String(), func(b *testing.B) {
+			var consumed units.Energy
+			for i := 0; i < b.N; i++ {
+				k := kernel.New(kernel.Config{Seed: 42, Mode: mode})
+				r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
+				k.AddDevice(r)
+				app := k.CreateReserve(k.Root, "app", label.Public())
+				tap, err := k.CreateTap(k.Root, "tap", k.KernelPriv(), k.Battery(), app, label.Public())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := tap.SetRate(k.KernelPriv(), units.Milliwatts(79)); err != nil {
+					b.Fatal(err)
+				}
+				for at := units.Time(1500); at < 10*units.Minute; at += 45 * units.Second {
+					k.Eng.At(at, func(e *sim.Engine) {
+						r.Exchange(e.Now(), 300, 12<<10, app, k.KernelPriv(), nil)
+					})
+				}
+				k.Run(10 * units.Minute)
+				consumed = k.Consumed()
+			}
+			b.ReportMetric(consumed.Joules(), "J-consumed")
+		})
 	}
-	b.ReportMetric(consumed.Joules(), "J-consumed")
 }
 
 // BenchmarkFleetDayInTheLifeMix runs the scaled-down day-in-the-life mix
-// (64 devices × 4 simulated hours) under closed-form settlement.
+// (64 devices × 4 simulated hours) under closed-form and per-batch
+// mode; a fixed-tick fleet day is too slow to benchmark.
 func BenchmarkFleetDayInTheLifeMix(b *testing.B) {
-	benchDayInTheLifeMix(b, kernel.SettleClosedForm)
-}
-
-// BenchmarkFleetDayInTheLifeMixPerBatch is the per-batch A/B twin.
-func BenchmarkFleetDayInTheLifeMixPerBatch(b *testing.B) {
-	benchDayInTheLifeMix(b, kernel.SettlePerBatch)
-}
-
-func benchDayInTheLifeMix(b *testing.B, settle kernel.SettleMode) {
-	b.Helper()
-	var rep fleet.Report
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = fleet.Run(fleet.Config{
-			Devices:  64,
-			Seed:     1,
-			Duration: 4 * units.Hour,
-			Scenario: fleet.DayInTheLife(),
-			Settle:   settle,
+	for _, mode := range benchModes[:2] {
+		b.Run(mode.String(), func(b *testing.B) {
+			var rep fleet.Report
+			for i := 0; i < b.N; i++ {
+				var err error
+				rep, err = fleet.Run(fleet.Config{
+					Devices:  64,
+					Seed:     1,
+					Duration: 4 * units.Hour,
+					Scenario: fleet.DayInTheLife(),
+					Mode:     mode,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rep.TotalEngineSteps)/float64(rep.Devices), "instants/device")
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
-	b.ReportMetric(float64(rep.TotalEngineSteps)/float64(rep.Devices), "instants/device")
 }
 
 // BenchmarkFleet100Pollers runs a 100-device cooperative-poller fleet

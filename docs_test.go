@@ -99,3 +99,62 @@ func TestReadmeCoversEntryPoints(t *testing.T) {
 		}
 	}
 }
+
+// fleetFlagDef matches a flag definition in cmd/cinder-fleet/main.go:
+// flag.Bool("name", ...) or flag.TextVar(&v, "name", ...).
+var fleetFlagDef = regexp.MustCompile(`flag\.[A-Za-z0-9]+\((?:&\w+, )?"([a-z0-9-]+)"`)
+
+// fleetFlagUse matches a -flag token on a cinder-fleet command line.
+var fleetFlagUse = regexp.MustCompile("(?:^|[\\s`])-([a-z][a-z0-9-]*)")
+
+// TestFleetFlagsInDocsExist: every -flag on a cinder-fleet command line
+// in the README, docs/*.md and the verify skill must be a flag
+// cmd/cinder-fleet/main.go defines, so a removed flag cannot linger in
+// an example. A command line runs from "cinder-fleet " to the end of
+// the line, through any backslash continuations.
+func TestFleetFlagsInDocsExist(t *testing.T) {
+	src, err := os.ReadFile("cmd/cinder-fleet/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	for _, m := range fleetFlagDef.FindAllStringSubmatch(string(src), -1) {
+		defined[m[1]] = true
+	}
+	if len(defined) < 20 {
+		t.Fatalf("found only %d cinder-fleet flag definitions; the pattern looks broken: %v", len(defined), defined)
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md"))
+	checked := 0
+	for _, md := range docs {
+		body, err := os.ReadFile(md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(body), "\n")
+		for i := 0; i < len(lines); i++ {
+			at := i + 1
+			_, cmd, ok := strings.Cut(lines[i], "cinder-fleet ")
+			if !ok {
+				continue
+			}
+			for strings.HasSuffix(strings.TrimSpace(cmd), `\`) && i+1 < len(lines) {
+				i++
+				cmd += " " + lines[i]
+			}
+			checked++
+			for _, m := range fleetFlagUse.FindAllStringSubmatch(cmd, -1) {
+				if !defined[m[1]] {
+					t.Errorf("%s:%d: cinder-fleet flag -%s is not defined in cmd/cinder-fleet/main.go", md, at, m[1])
+				}
+			}
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("found only %d cinder-fleet command lines; the scan looks broken", checked)
+	}
+}

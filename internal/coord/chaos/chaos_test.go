@@ -37,14 +37,9 @@ func chaosJob(t *testing.T, shards int, dir string) fleet.Job {
 // boundaries shape the engine diagnostics).
 func reference(t *testing.T, job fleet.Job) (full, canonical []byte) {
 	t.Helper()
-	ref := fleet.Job{
-		Scenario: job.Scenario, Devices: job.Devices, Seed: job.Seed,
-		DurationMS: job.DurationMS, Shards: 1,
-		BatteryUJ: job.BatteryUJ, LifeResolutionMS: job.LifeResolutionMS,
-		EngineMode: job.EngineMode, SettleMode: job.SettleMode,
-		NetdSettleMode: job.NetdSettleMode, DenseWatch: job.DenseWatch,
-		CheckpointDir: t.TempDir(), CheckpointEveryMS: job.CheckpointEveryMS,
-	}
+	ref := job
+	ref.Shards = 1
+	ref.CheckpointDir = t.TempDir()
 	cfg, err := ref.ShardConfig(0)
 	if err != nil {
 		t.Fatal(err)

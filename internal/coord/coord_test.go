@@ -55,16 +55,11 @@ func weekJob(t *testing.T, devices, shards int, dir string) fleet.Job {
 // sides.
 func singleProcess(t *testing.T, job fleet.Job) fleet.Report {
 	t.Helper()
-	ref := fleet.Job{
-		Scenario: job.Scenario, Devices: job.Devices, Seed: job.Seed,
-		DurationMS: job.DurationMS, Shards: 1,
-		BatteryUJ: job.BatteryUJ, LifeResolutionMS: job.LifeResolutionMS,
-		EngineMode: job.EngineMode, SettleMode: job.SettleMode,
-		NetdSettleMode: job.NetdSettleMode, DenseWatch: job.DenseWatch,
-	}
+	ref := job
+	ref.Shards = 1
+	ref.CheckpointDir, ref.CheckpointEveryMS = "", 0
 	if job.CheckpointDir != "" {
-		ref.CheckpointDir = t.TempDir()
-		ref.CheckpointEveryMS = job.CheckpointEveryMS
+		ref.CheckpointDir, ref.CheckpointEveryMS = t.TempDir(), job.CheckpointEveryMS
 	}
 	cfg, err := ref.ShardConfig(0)
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/fleet"
-	"repro/internal/sim"
+	"repro/internal/kernel"
 	"repro/internal/units"
 )
 
@@ -126,7 +126,7 @@ func Adversarial(opts AdversarialOptions) Result {
 		small := cfg
 		small.Devices = 40
 		ref, err1 := fleet.Run(small)
-		small.EngineMode = sim.ModeFixedTick
+		small.Mode = kernel.FixedTick
 		ft, err2 := fleet.Run(small)
 		if err1 == nil && err2 == nil {
 			a, _ := ref.CanonicalJSON(false)

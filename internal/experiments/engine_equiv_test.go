@@ -8,34 +8,13 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
-// engineConfigs are the three advancement strategies every experiment
-// must agree under: the original tick-by-tick engine, next-event
-// advancement with per-batch tap flows (PR 1), and next-event
-// advancement with closed-form tap/device settlement (the busy fast
-// path). The first entry is the oracle.
-var engineConfigs = []struct {
-	name   string
-	mode   sim.Mode
-	settle kernel.SettleMode
-}{
-	{"fixed-tick", sim.ModeFixedTick, kernel.SettlePerBatch},
-	{"next-event-per-batch", sim.ModeNextEvent, kernel.SettlePerBatch},
-	{"next-event-closed-form", sim.ModeNextEvent, kernel.SettleClosedForm},
-}
-
-func setEngineConfig(mode sim.Mode, settle kernel.SettleMode) {
-	sim.SetDefaultMode(mode)
-	kernel.SetDefaultSettleMode(settle)
-}
-
-func resetEngineConfig() {
-	sim.SetDefaultMode(sim.ModeNextEvent)
-	kernel.SetDefaultSettleMode(kernel.SettleClosedForm)
-}
+// engineModes are the three modes every experiment must agree under:
+// the fixed-tick oracle first, then next-event advancement with
+// per-batch tap flows, then closed-form settlement (the default).
+var engineModes = []kernel.Mode{kernel.FixedTick, kernel.PerBatch, kernel.ClosedForm}
 
 // TestEngineEquivalence is the three-way differential test behind the
 // next-event engine and closed-form settlement: every paper-registry
@@ -46,15 +25,15 @@ func TestEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	defer resetEngineConfig()
+	defer func() { registryMode = kernel.ClosedForm }()
 
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			var oracle Result
 			var oracleText string
-			for i, c := range engineConfigs {
-				setEngineConfig(c.mode, c.settle)
+			for i, mode := range engineModes {
+				registryMode = mode
 				got, err := Run(name)
 				if err != nil {
 					t.Fatal(err)
@@ -65,11 +44,11 @@ func TestEngineEquivalence(t *testing.T) {
 					continue
 				}
 				if !reflect.DeepEqual(oracle, got) {
-					t.Errorf("results diverge: %s vs %s", engineConfigs[0].name, c.name)
+					t.Errorf("results diverge: %v vs %v", engineModes[0], mode)
 				}
 				if text != oracleText {
-					t.Errorf("formatted output diverges under %s:\n--- %s ---\n%s\n--- %s ---\n%s",
-						c.name, engineConfigs[0].name, oracleText, c.name, text)
+					t.Errorf("formatted output diverges under %v:\n--- %v ---\n%s\n--- %v ---\n%s",
+						mode, engineModes[0], oracleText, mode, text)
 				}
 			}
 		})
@@ -151,8 +130,6 @@ func TestExtendedEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	defer resetEngineConfig()
-
 	cases := make(map[string]fleet.Config, len(extendedEquivalence)+1)
 	for _, name := range ExtendedNames() {
 		cfg, ok := extendedEquivalence[name]
@@ -173,11 +150,9 @@ func TestExtendedEngineEquivalence(t *testing.T) {
 		name, cfg := name, cfg
 		t.Run(name, func(t *testing.T) {
 			var oracle []byte
-			for i, c := range engineConfigs {
+			for i, mode := range engineModes {
 				run := cfg
-				run.EngineMode = c.mode
-				run.Settle = c.settle
-				setEngineConfig(c.mode, c.settle)
+				run.Mode = mode
 				rep, err := fleet.Run(run)
 				if err != nil {
 					t.Fatal(err)
@@ -191,8 +166,8 @@ func TestExtendedEngineEquivalence(t *testing.T) {
 					continue
 				}
 				if !bytes.Equal(oracle, js) {
-					t.Errorf("canonical fleet report diverges: %s vs %s\n%s",
-						engineConfigs[0].name, c.name, firstDiff(oracle, js))
+					t.Errorf("canonical fleet report diverges: %v vs %v\n%s",
+						engineModes[0], mode, firstDiff(oracle, js))
 				}
 			}
 		})

@@ -41,7 +41,7 @@ func DefaultFig12bOptions() Fig12Options {
 // Fig12Foreground regenerates Figure 12: two spinners under the task
 // manager; A foregrounded during 10–20 s, B during 30–40 s.
 func Fig12Foreground(opts Fig12Options) Result {
-	k := kernel.New(kernel.Config{Seed: 12}) // decay ON: it caps hoarding
+	k := newKernel(kernel.Config{Seed: 12}) // decay ON: it caps hoarding
 	tm, err := apps.NewTaskManager(k, k.Root, k.KernelPriv(), k.Battery(), apps.TaskManagerConfig{
 		ForegroundRate: opts.ForegroundRate,
 		BackgroundRate: opts.BackgroundRate,

@@ -34,7 +34,7 @@ func DefaultFig3Options() Fig3Options {
 // its total above-baseline energy (activation + plateau + data), i.e.
 // what Fig. 3 plots.
 func flowEnergy(size, pps int, dur units.Time) units.Energy {
-	k := kernel.New(kernel.Config{Seed: 11, DecayHalfLife: -1})
+	k := newKernel(kernel.Config{Seed: 11, DecayHalfLife: -1})
 	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
 	k.AddDevice(r)
 

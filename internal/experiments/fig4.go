@@ -30,7 +30,7 @@ func DefaultFig4Options() Fig4Options {
 // per-activation energy spread the paper observed (9.5 J mean, 8.8 min,
 // 11.9 max, occasional outliers).
 func Fig4RadioActivation(opts Fig4Options) Result {
-	k := kernel.New(kernel.Config{Seed: 1701, DecayHalfLife: -1})
+	k := newKernel(kernel.Config{Seed: 1701, DecayHalfLife: -1})
 	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{
 		Profile: k.Profile,
 		Jitter:  true,

@@ -53,7 +53,7 @@ func sampleThread(k *kernel.Kernel, name string, th *sched.Thread) *powerSampler
 // the CPU's power; B forks B1 and B2, subdividing its own share, and A
 // is unaffected.
 func Fig9Isolation(opts Fig9Options) Result {
-	k := kernel.New(kernel.Config{Seed: 9, DecayHalfLife: -1})
+	k := newKernel(kernel.Config{Seed: 9, DecayHalfLife: -1})
 
 	a, err := apps.NewSpinner(k, k.Root, "A", k.KernelPriv(), k.Battery(), opts.ShareRate, labelPublic())
 	if err != nil {

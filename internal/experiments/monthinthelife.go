@@ -32,7 +32,7 @@ func DefaultMonthInTheLifeOptions() MonthInTheLifeOptions {
 // against a monthly byte plan, and the occasional forgotten charger.
 // The checks pin what the month machinery must deliver — non-monotone
 // batteries with exact charger accounting, hardware classes coexisting
-// in one fleet, the charger A/B knob changing nothing canonical, and
+// in one fleet, the per-batch mode changing nothing canonical, and
 // checkpoint/resume staying byte-exact through in-progress charge
 // windows.
 func MonthInTheLife(opts MonthInTheLifeOptions) Result {
@@ -112,10 +112,9 @@ func MonthInTheLife(opts MonthInTheLifeOptions) Result {
 		pages > 0 && lap.Pages > 0,
 		"%d pages total, %d on laptops", pages, lap.Pages))
 
-	// Shape check 4: the charger A/B knob is invisible — closed-form
-	// charge settlement and per-quantum execution produce byte-identical
-	// canonical reports (reduced scale; the fleet tests cover the full
-	// matrix).
+	// Shape check 4: closed-form charge settlement is invisible — the
+	// closed-form and per-batch modes produce byte-identical canonical
+	// reports (reduced scale; the fleet tests cover the full matrix).
 	abOK := false
 	abDetail := ""
 	{
@@ -123,11 +122,11 @@ func MonthInTheLife(opts MonthInTheLifeOptions) Result {
 		small.Devices = 12
 		small.Duration = 4 * 24 * units.Hour
 		closed, err1 := fleet.Run(small)
-		small.ChargerSettle = kernel.SettlePerBatch
-		perQ, err2 := fleet.Run(small)
+		small.Mode = kernel.PerBatch
+		perBatch, err2 := fleet.Run(small)
 		if err1 == nil && err2 == nil {
 			a, _ := closed.CanonicalJSON(false)
-			b, _ := perQ.CanonicalJSON(false)
+			b, _ := perBatch.CanonicalJSON(false)
 			abOK = bytes.Equal(a, b)
 			abDetail = fmt.Sprintf("identical=%v", abOK)
 		} else {
@@ -136,7 +135,7 @@ func MonthInTheLife(opts MonthInTheLifeOptions) Result {
 	}
 	res.Checks = append(res.Checks, check(
 		"closed-form charge settlement is exact",
-		"canonical JSON byte-identical to per-quantum crediting",
+		"canonical JSON byte-identical to per-batch mode",
 		abOK, "%s", abDetail))
 
 	// Shape check 5: checkpoint/resume invariance with chargers in

@@ -21,7 +21,7 @@ func PowerModel() Result {
 	}
 
 	measure := func(configure func(k *kernel.Kernel)) units.Power {
-		k := kernel.New(kernel.Config{Seed: 51, DecayHalfLife: -1})
+		k := newKernel(kernel.Config{Seed: 51, DecayHalfLife: -1})
 		configure(k)
 		meter := k.NewMeter("supply")
 		start := k.Consumed()
@@ -40,7 +40,7 @@ func PowerModel() Result {
 		}
 		k.Spawn(k.Root, "spin", label.Priv{}, nil, res)
 	})
-	worst := kernel.New(kernel.Config{Seed: 51}).Profile.WorstCaseCPU()
+	worst := newKernel(kernel.Config{Seed: 51}).Profile.WorstCaseCPU()
 
 	mw := func(p units.Power) string { return fmt.Sprintf("%.0f", p.Milliwatts()) }
 	res.Tables = append(res.Tables, Table{

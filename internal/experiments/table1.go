@@ -77,7 +77,7 @@ type coopRun struct {
 
 // runCoop executes one condition of the experiment.
 func runCoop(opts Table1Options, cooperative bool) coopRun {
-	k := kernel.New(kernel.Config{Seed: 13, DecayHalfLife: -1})
+	k := newKernel(kernel.Config{Seed: 13, DecayHalfLife: -1})
 	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{
 		Profile: k.Profile,
 		RTT:     opts.RTT,

@@ -29,7 +29,7 @@ func DefaultViewerOptions(adaptive bool) ViewerOptions {
 // runViewer executes one viewer run on the laptop profile and returns
 // the viewer plus its kernel.
 func runViewer(opts ViewerOptions) (*apps.ImageViewer, *kernel.Kernel) {
-	k := kernel.New(kernel.Config{
+	k := newKernel(kernel.Config{
 		Seed:          21,
 		Profile:       power.LaptopT60p(),
 		DecayHalfLife: -1,

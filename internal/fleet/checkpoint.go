@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/kernel"
 	"repro/internal/snap"
 	"repro/internal/units"
 )
@@ -258,11 +259,7 @@ func writeEpochHeader(w *snap.Writer, cfg Config, plan epochPlan, e, lo, hi int)
 	w.U64(uint64(hi))
 	w.I64(int64(cfg.BatteryCapacity))
 	w.I64(int64(cfg.LifeResolution))
-	w.U64(uint64(cfg.EngineMode))
-	w.U64(uint64(cfg.Settle))
-	w.U64(uint64(cfg.NetdSettle))
-	w.U64(uint64(cfg.ChargerSettle))
-	w.Bool(cfg.DenseWatch)
+	w.String(cfg.Mode.String())
 }
 
 func checkEpochHeader(r *snap.Reader, cfg Config, plan epochPlan, e, lo, hi int) error {
@@ -277,13 +274,13 @@ func checkEpochHeader(r *snap.Reader, cfg Config, plan epochPlan, e, lo, hi int)
 	fhi := int(r.U64())
 	battery := units.Energy(r.I64())
 	lifeRes := units.Time(r.I64())
-	engineMode := r.U64()
-	settle := r.U64()
-	netdSettle := r.U64()
-	chargerSettle := r.U64()
-	dense := r.Bool()
+	modeName := r.String()
 	if err := r.Err(); err != nil {
 		return err
+	}
+	mode, err := kernel.ParseMode(modeName)
+	if err != nil {
+		return fmt.Errorf("fleet: epoch file: %w", err)
 	}
 	switch {
 	case scenario != cfg.Scenario.Name():
@@ -301,13 +298,8 @@ func checkEpochHeader(r *snap.Reader, cfg Config, plan epochPlan, e, lo, hi int)
 		return fmt.Errorf("fleet: epoch file battery override %v, run has %v", battery, cfg.BatteryCapacity)
 	case lifeRes != cfg.LifeResolution:
 		return fmt.Errorf("fleet: epoch file life resolution %v, run has %v", lifeRes, cfg.LifeResolution)
-	case engineMode != uint64(cfg.EngineMode) || settle != uint64(cfg.Settle) ||
-		netdSettle != uint64(cfg.NetdSettle) || chargerSettle != uint64(cfg.ChargerSettle):
-		return fmt.Errorf("fleet: epoch file engine/settle/netd-settle/charger-settle modes (%d,%d,%d,%d) differ from run (%d,%d,%d,%d)",
-			engineMode, settle, netdSettle, chargerSettle,
-			uint64(cfg.EngineMode), uint64(cfg.Settle), uint64(cfg.NetdSettle), uint64(cfg.ChargerSettle))
-	case dense != cfg.DenseWatch:
-		return fmt.Errorf("fleet: epoch file dense-watch %v, run has %v", dense, cfg.DenseWatch)
+	case mode != cfg.Mode:
+		return fmt.Errorf("fleet: epoch file mode %v, run has %v", mode, cfg.Mode)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/snap"
 	"repro/internal/units"
 )
@@ -286,8 +287,9 @@ func TestDeadDevicePassthrough(t *testing.T) {
 	}
 }
 
-// TestWatchEquivalence: the adaptive battery watch must detect every
-// death at exactly the instant dense per-second polling does. The watch
+// TestWatchEquivalence: the adaptive battery watch of the closed-form
+// mode must detect every death at exactly the instant the per-batch
+// mode's dense per-second polling does. The watch
 // defers across constant taps out of the battery, so the adversarial
 // and month subtests are picked to die while such taps drain it: the
 // seed-5 hoarders adv-lax 1, adv-strict 6 and 7 die feeding their taxed
@@ -313,7 +315,7 @@ func TestWatchEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.DenseWatch = true
+			cfg.Mode = kernel.PerBatch
 			dense, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -328,7 +330,7 @@ func TestWatchEquivalence(t *testing.T) {
 				t.Fatal(err1, err2)
 			}
 			if !bytes.Equal(aj, dj) {
-				t.Fatalf("adaptive battery watch diverged from dense polling:\n%s\nvs\n%s", aj, dj)
+				t.Fatalf("closed-form run diverged from per-batch dense polling:\n%s\nvs\n%s", aj, dj)
 			}
 			if adaptive.Dead == 0 {
 				t.Fatal("test fleet had no deaths; watch equivalence not exercised")

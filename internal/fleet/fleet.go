@@ -73,10 +73,6 @@ type Device struct {
 	// report breakdowns. runDevice seeds it with the config scenario's
 	// name; Mix overrides it with the chosen entry's name.
 	Scenario string
-	// ChargerSettle is the fleet-level charger settlement mode, copied
-	// here so scenarios that attach a charger at Build time pass the
-	// A/B knob through (kernel.ChargerConfig.Settle).
-	ChargerSettle kernel.SettleMode
 	// Probes are scenario-installed callbacks run after the simulation
 	// to add workload counters into the DeviceResult (PollerScenario
 	// accumulates completed polls into Polls this way).
@@ -236,26 +232,11 @@ type Config struct {
 	BatteryCapacity units.Energy
 	// LifeResolution overrides DefaultLifeResolution.
 	LifeResolution units.Time
-	// EngineMode selects the time-advancement strategy (default
-	// next-event; the fixed-tick compat mode exists for differential testing).
-	EngineMode sim.Mode
-	// Settle selects the busy-path strategy (default closed-form
-	// settlement; the per-batch compat mode exists for A/B timing and
-	// differential tests).
-	Settle kernel.SettleMode
-	// NetdSettle selects netd's sweep strategy independently of the
-	// kernel's (default closed-form pool-crossing prediction; the
-	// per-sweep compat mode exists for A/B timing and differential
-	// tests — the cinder-fleet -per-sweep flag). Reports are
-	// byte-identical either way.
-	NetdSettle kernel.SettleMode
-	// ChargerSettle selects the battery charger's settlement strategy
-	// for scenarios that plug devices in overnight (default closed-form
-	// telescoped recharge; the per-quantum compat mode exists for A/B
-	// timing and differential tests — the cinder-fleet -per-charge
-	// flag). Reports are byte-identical either way; scenarios read it
-	// off Device.ChargerSettle when attaching the charger.
-	ChargerSettle kernel.SettleMode
+	// Mode selects how every device's simulation advances time
+	// (kernel.Mode; default ClosedForm). Reports are canonically
+	// byte-identical in every mode; PerBatch and FixedTick exist as the
+	// references the closed-form path is checked against.
+	Mode kernel.Mode
 	// KeepResults retains the per-device result array on the Report.
 	// Off (the default) the run streams each DeviceResult into the
 	// aggregate and drops it, so fleet memory stays O(workers + buckets)
@@ -266,11 +247,6 @@ type Config struct {
 	// A/B benchmarks and the recycling-equivalence tests; reports are
 	// byte-identical either way.
 	NoRecycle bool
-	// DenseWatch disables the adaptive battery-watch deferral and polls
-	// the battery every LifeResolution instead, the pre-optimization
-	// behaviour. It exists for A/B benchmarks and the watch-equivalence
-	// tests; reports are byte-identical either way.
-	DenseWatch bool
 
 	// PerDevice, when set, streams every completed device's result out
 	// of the reduction frontier, in strict device-index order, without
@@ -771,6 +747,9 @@ func (cfg *Config) validate() (workers int, err error) {
 	if cfg.LifeResolution < 0 {
 		return 0, fmt.Errorf("fleet: negative life resolution %v", cfg.LifeResolution)
 	}
+	if !cfg.Mode.Valid() {
+		return 0, fmt.Errorf("fleet: invalid mode %v", cfg.Mode)
+	}
 	if cfg.ShardCount < 0 || (cfg.ShardCount > 0 && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount)) {
 		return 0, fmt.Errorf("fleet: shard %d of %d out of range", cfg.ShardIndex, cfg.ShardCount)
 	}
@@ -1043,15 +1022,10 @@ type rig struct {
 // equivalence tests assert it.
 func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 	seed := DeriveSeed(cfg.Seed, idx)
-	mode := cfg.EngineMode
-	if mode == sim.ModeAuto {
-		mode = sim.DefaultMode()
-	}
 	kcfg := kernel.Config{
 		Seed:            seed,
 		BatteryCapacity: cfg.BatteryCapacity,
-		EngineMode:      mode,
-		Settle:          cfg.Settle,
+		Mode:            cfg.Mode,
 	}
 	if p, ok := cfg.Scenario.(Provisioner); ok {
 		prov := p.Provision(idx, seed)
@@ -1068,7 +1042,7 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 		}
 		kcfg.StrictHoarding = prov.StrictHoarding
 	}
-	ncfg := netd.Config{Cooperative: true, QuiescentSweep: true, NoPoolTrace: true, Settle: cfg.NetdSettle}
+	ncfg := netd.Config{Cooperative: true, QuiescentSweep: true, NoPoolTrace: true}
 	if cfg.NoRecycle {
 		*rg = rig{}
 	}
@@ -1106,16 +1080,15 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 		rand.state = uint64(seed)
 	}
 	*d = Device{
-		Index:         idx,
-		Seed:          seed,
-		Rand:          rand,
-		Kernel:        k,
-		Radio:         rg.r,
-		Netd:          rg.n,
-		Scenario:      cfg.Scenario.Name(),
-		ChargerSettle: cfg.ChargerSettle,
-		Probes:        probes,
-		Hooks:         hooks,
+		Index:    idx,
+		Seed:     seed,
+		Rand:     rand,
+		Kernel:   k,
+		Radio:    rg.r,
+		Netd:     rg.n,
+		Scenario: cfg.Scenario.Name(),
+		Probes:   probes,
+		Hooks:    hooks,
 	}
 	if err := cfg.Scenario.Build(d); err != nil {
 		return nil, nil, err
@@ -1126,6 +1099,8 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 	if lifeRes == 0 {
 		lifeRes = DefaultLifeResolution
 	}
+	// Outside ClosedForm the watch polls the battery every lifeRes.
+	dense := k.Mode() != kernel.ClosedForm
 	var watch *sim.Task
 	watch = k.Eng.Every("fleet:battery-watch", lifeRes, func(e *sim.Engine) {
 		if !res.Died && k.BatteryExhaustedFor(watchSustain(lifeRes)) {
@@ -1134,7 +1109,7 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 			e.Stop() // dead device: nothing left to measure
 			return
 		}
-		if cfg.DenseWatch {
+		if dense {
 			return
 		}
 		// While the device is provably quiescent, skip ahead: the kernel

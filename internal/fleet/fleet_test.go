@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/kernel"
 	"repro/internal/sketch"
 	"repro/internal/units"
 )
@@ -133,7 +133,7 @@ func TestFleetModeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.EngineMode = sim.ModeFixedTick
+	cfg.Mode = kernel.FixedTick
 	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

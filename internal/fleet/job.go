@@ -1,11 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
 	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -45,14 +45,10 @@ type Job struct {
 	BatteryUJ        int64 `json:"battery_uj,omitempty"`
 	LifeResolutionMS int64 `json:"life_resolution_ms,omitempty"`
 
-	// EngineMode/SettleMode/NetdSettleMode/DenseWatch pin the engine
-	// configuration, so every runner of a job simulates identically (the
-	// same fields Partial records and Merge verifies).
-	EngineMode        uint8 `json:"engine_mode,omitempty"`
-	SettleMode        uint8 `json:"settle_mode,omitempty"`
-	NetdSettleMode    uint8 `json:"netd_settle_mode,omitempty"`
-	ChargerSettleMode uint8 `json:"charger_settle_mode,omitempty"`
-	DenseWatch        bool  `json:"dense_watch,omitempty"`
+	// Mode pins the simulation mode, so every runner of a job
+	// simulates identically (Partial records it and Merge verifies it).
+	// It travels by name; the zero value, closed-form, is omitted.
+	Mode kernel.Mode `json:"mode,omitempty"`
 
 	// CheckpointDir, when set, makes every ShardRun interruptible: epoch
 	// files land there (per-shard names), and a reassigned shard resumes
@@ -74,10 +70,6 @@ func NewJob(cfg Config, shards int) (Job, error) {
 	if cfg.Scenario == nil {
 		return Job{}, fmt.Errorf("fleet: job needs a scenario")
 	}
-	mode := cfg.EngineMode
-	if mode == sim.ModeAuto {
-		mode = sim.DefaultMode()
-	}
 	j := Job{
 		Scenario:          cfg.Scenario.Name(),
 		Devices:           cfg.Devices,
@@ -86,11 +78,7 @@ func NewJob(cfg Config, shards int) (Job, error) {
 		Shards:            shards,
 		BatteryUJ:         int64(cfg.BatteryCapacity),
 		LifeResolutionMS:  int64(cfg.LifeResolution),
-		EngineMode:        uint8(mode),
-		SettleMode:        uint8(cfg.Settle),
-		NetdSettleMode:    uint8(cfg.NetdSettle),
-		ChargerSettleMode: uint8(cfg.ChargerSettle),
-		DenseWatch:        cfg.DenseWatch,
+		Mode:              cfg.Mode,
 		CheckpointDir:     cfg.CheckpointDir,
 		CheckpointEveryMS: int64(cfg.CheckpointEvery),
 		scenario:          cfg.Scenario,
@@ -98,10 +86,14 @@ func NewJob(cfg Config, shards int) (Job, error) {
 	return j, j.Validate()
 }
 
-// ParseJob deserializes and validates a wire job.
+// ParseJob deserializes and validates a wire job. Unknown fields are
+// an error, so a job naming a field this build dropped fails loudly
+// instead of running with that field ignored.
 func ParseJob(b []byte) (Job, error) {
 	var j Job
-	if err := json.Unmarshal(b, &j); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&j); err != nil {
 		return Job{}, fmt.Errorf("fleet: bad job: %w", err)
 	}
 	return j, j.Validate()
@@ -124,6 +116,9 @@ func (j Job) Validate() error {
 	}
 	if j.LifeResolutionMS < 0 {
 		return fmt.Errorf("fleet: job has negative life resolution %d ms", j.LifeResolutionMS)
+	}
+	if !j.Mode.Valid() {
+		return fmt.Errorf("fleet: job has invalid mode %v", j.Mode)
 	}
 	return nil
 }
@@ -170,11 +165,7 @@ func (j Job) ShardConfig(shard int) (Config, error) {
 		Scenario:        sc,
 		BatteryCapacity: units.Energy(j.BatteryUJ),
 		LifeResolution:  units.Time(j.LifeResolutionMS),
-		EngineMode:      sim.Mode(j.EngineMode),
-		Settle:          kernel.SettleMode(j.SettleMode),
-		NetdSettle:      kernel.SettleMode(j.NetdSettleMode),
-		ChargerSettle:   kernel.SettleMode(j.ChargerSettleMode),
-		DenseWatch:      j.DenseWatch,
+		Mode:            j.Mode,
 		ShardIndex:      shard,
 		ShardCount:      j.Shards,
 		CheckpointDir:   j.CheckpointDir,

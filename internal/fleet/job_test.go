@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/units"
 )
 
@@ -21,6 +22,7 @@ func TestJobWireRoundTrip(t *testing.T) {
 		Duration:        24 * units.Hour,
 		Scenario:        DayInTheLife(),
 		BatteryCapacity: units.Joules(50),
+		Mode:            kernel.PerBatch,
 		CheckpointDir:   dir,
 		CheckpointEvery: 6 * units.Hour,
 	}, 3)

@@ -117,18 +117,18 @@ func runCanonical(t *testing.T, cfg Config) []byte {
 // TestMonthEquivalenceAcrossChargerModes is the recharge-cycle
 // equivalence gate: the month scenario's canonical report must be
 // byte-identical whether charger credits are settled in closed form or
-// executed per quantum, and across worker counts — the charger A/B knob
-// may only change diagnostics.
+// executed per quantum (the per-batch mode), and across worker counts —
+// the mode may only change diagnostics.
 func TestMonthEquivalenceAcrossChargerModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-day fleet run")
 	}
 	ref := runCanonical(t, monthCfg(1))
 
-	perCharge := monthCfg(1)
-	perCharge.ChargerSettle = kernel.SettlePerBatch
-	if got := runCanonical(t, perCharge); !bytes.Equal(got, ref) {
-		t.Error("per-quantum charger settlement changed the canonical report")
+	perBatch := monthCfg(1)
+	perBatch.Mode = kernel.PerBatch
+	if got := runCanonical(t, perBatch); !bytes.Equal(got, ref) {
+		t.Error("per-batch mode changed the canonical report")
 	}
 	if got := runCanonical(t, monthCfg(4)); !bytes.Equal(got, ref) {
 		t.Error("worker count changed the canonical report")

@@ -21,8 +21,8 @@ import (
 // about 90 s apart transfer, retune rates and (withRadio) wake the
 // radio, which bills the fed reserve; the battery is small enough to die
 // mid-run. Every event appends the observable state to *log.
-func decayScenario(settle SettleMode, withRadio bool, log *[]string) *Kernel {
-	k := New(Config{Seed: 7, EngineMode: sim.ModeNextEvent, Settle: settle,
+func decayScenario(mode Mode, withRadio bool, log *[]string) *Kernel {
+	k := New(Config{Seed: 7, Mode: mode,
 		BatteryCapacity: 2 * units.Kilojoule})
 	priv := k.KernelPriv()
 	var r *radio.Radio
@@ -117,17 +117,17 @@ func decayScenario(settle SettleMode, withRadio bool, log *[]string) *Kernel {
 // the battery's death — while the closed-form run stops executing an
 // instant per second.
 func TestLazyDecayEquivalence(t *testing.T) {
-	run := func(settle SettleMode) ([]string, *Kernel) {
+	run := func(mode Mode) ([]string, *Kernel) {
 		var log []string
-		k := decayScenario(settle, true, &log)
+		k := decayScenario(mode, true, &log)
 		for _, d := range []units.Time{7*units.Minute + 3, 13 * units.Minute, 31*units.Minute + 997} {
 			k.Run(d)
 			log = append(log, "run-end "+fmt.Sprint(k.Now(), k.Consumed()))
 		}
 		return log, k
 	}
-	ref, pk := run(SettlePerBatch)
-	got, ck := run(SettleClosedForm)
+	ref, pk := run(PerBatch)
+	got, ck := run(ClosedForm)
 	if len(ref) != len(got) {
 		t.Fatalf("event counts differ: per-batch %d, closed-form %d", len(ref), len(got))
 	}
@@ -156,10 +156,10 @@ func TestLazyDecayRestore(t *testing.T) {
 	const cut = 7*units.Minute + 500*units.Millisecond + 3
 	const end = 40 * units.Minute
 	var want []string
-	decayScenario(SettleClosedForm, false, &want).Run(end)
+	decayScenario(ClosedForm, false, &want).Run(end)
 
 	var got []string
-	k := decayScenario(SettleClosedForm, false, &got)
+	k := decayScenario(ClosedForm, false, &got)
 	k.Run(cut)
 	if k.taskDecay.NextDue() != sim.MaxTime {
 		t.Fatal("decay task on its grid at the cut; the derived cursor is not exercised")
@@ -171,7 +171,7 @@ func TestLazyDecayRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rebuilt []string
-	k2 := decayScenario(SettleClosedForm, false, &rebuilt)
+	k2 := decayScenario(ClosedForm, false, &rebuilt)
 	r, err := snap.Open(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func (d *peakDevice) SettleAccounts() []*core.Reserve                { return ni
 // the horizon exactly; a proportional tap on the battery and a runnable
 // thread refuse it.
 func TestWatchHorizonBudget(t *testing.T) {
-	k := New(Config{Seed: 1, EngineMode: sim.ModeNextEvent, BatteryCapacity: 100 * units.Joule})
+	k := New(Config{Seed: 1, BatteryCapacity: 100 * units.Joule})
 	dev := &peakDevice{quiet: true, peak: units.Milliwatts(400)}
 	k.AddDevice(dev)
 	priv := k.KernelPriv()
@@ -279,7 +279,7 @@ func TestWatchHorizonBudget(t *testing.T) {
 // have to order the bites against device billing instant by instant),
 // and the task parks again once the device sleeps.
 func TestDecayPinnedWhileDeviceActive(t *testing.T) {
-	k := New(Config{Seed: 3, EngineMode: sim.ModeNextEvent})
+	k := New(Config{Seed: 3})
 	priv := k.KernelPriv()
 	r := radio.New(k.Eng, k.Graph, k.Root, priv, radio.Config{Profile: k.Profile})
 	k.AddDevice(r)

@@ -24,7 +24,6 @@ package kernel
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/kobj"
@@ -38,58 +37,76 @@ import (
 // DefaultTapBatch is the tap flow batching interval.
 const DefaultTapBatch = 10 * units.Millisecond
 
-// SettleMode selects how the kernel advances tap flows and device draw
-// on a next-event engine.
-type SettleMode uint8
+// Mode selects how the simulation advances time. The three modes give
+// byte-identical results; the slower two exist as the references the
+// closed-form fast path is checked against.
+type Mode uint8
 
 const (
-	// SettleAuto resolves to the package default (see SetDefaultSettleMode).
-	SettleAuto SettleMode = iota
-	// SettleClosedForm parks the flow/baseline/device tasks and settles
-	// the batches and ticks they skipped in closed form, lazily, before
-	// every executed instant. Byte-identical to per-batch execution; the
-	// differential tests assert it.
-	SettleClosedForm
-	// SettlePerBatch keeps the busy path on per-batch task firings (the
-	// pre-settlement behaviour). It exists for differential testing and
-	// A/B benchmarks.
-	SettlePerBatch
+	// ClosedForm, the default, runs the next-event engine with the
+	// tap-flow, baseline and device tasks parked and the work they
+	// skipped settled lazily in closed form before every executed
+	// instant. netd predicts its pool crossings, the battery charger
+	// telescopes its quanta and the fleet battery watch defers across
+	// quiescent stretches.
+	ClosedForm Mode = iota
+	// PerBatch runs the next-event engine with every tap batch, netd
+	// sweep, charge quantum and battery-watch period executed.
+	PerBatch
+	// FixedTick is the oracle: PerBatch on an engine that visits every
+	// tick.
+	FixedTick
 )
 
-// String returns the mode name.
-func (m SettleMode) String() string {
-	switch m {
-	case SettleAuto:
-		return "auto"
-	case SettleClosedForm:
-		return "closed-form"
-	case SettlePerBatch:
-		return "per-batch"
-	default:
-		return fmt.Sprintf("settlemode(%d)", uint8(m))
+var modeNames = [...]string{ClosedForm: "closed-form", PerBatch: "per-batch", FixedTick: "fixed-tick"}
+
+// Valid reports whether m is one of the three modes.
+func (m Mode) Valid() bool { return int(m) < len(modeNames) }
+
+// String returns the mode's name, as ParseMode accepts it.
+func (m Mode) String() string {
+	if !m.Valid() {
+		return fmt.Sprintf("mode(%d)", uint8(m))
 	}
+	return modeNames[m]
 }
 
-// defaultSettleMode holds the mode SettleAuto resolves to; stored
-// atomically so concurrent kernel construction (the fleet runner) is
-// race-free.
-var defaultSettleMode atomic.Int32
-
-func init() { defaultSettleMode.Store(int32(SettleClosedForm)) }
-
-// SetDefaultSettleMode changes what SettleAuto resolves to for
-// subsequently created kernels. The three-way differential tests use it
-// to run the whole experiment registry with and without closed-form
-// settlement.
-func SetDefaultSettleMode(m SettleMode) {
-	if m == SettleAuto {
-		m = SettleClosedForm
+// ParseMode returns the mode with the given name.
+func ParseMode(s string) (Mode, error) {
+	for m, name := range modeNames {
+		if s == name {
+			return Mode(m), nil
+		}
 	}
-	defaultSettleMode.Store(int32(m))
+	return 0, fmt.Errorf("kernel: unknown mode %q (want closed-form, per-batch or fixed-tick)", s)
 }
 
-// DefaultSettleMode returns the mode SettleAuto currently resolves to.
-func DefaultSettleMode() SettleMode { return SettleMode(defaultSettleMode.Load()) }
+// MarshalText encodes the mode by name, so JSON carries "per-batch"
+// rather than a bare number.
+func (m Mode) MarshalText() ([]byte, error) {
+	if !m.Valid() {
+		return nil, fmt.Errorf("kernel: invalid mode %d", uint8(m))
+	}
+	return []byte(modeNames[m]), nil
+}
+
+// UnmarshalText decodes a mode name, rejecting unknown ones.
+func (m *Mode) UnmarshalText(b []byte) error {
+	v, err := ParseMode(string(b))
+	if err != nil {
+		return err
+	}
+	*m = v
+	return nil
+}
+
+// engine returns the sim engine's advancement strategy for m.
+func (m Mode) engine() sim.Mode {
+	if m == FixedTick {
+		return sim.ModeFixedTick
+	}
+	return sim.ModeNextEvent
+}
 
 // BillingMode selects how gate calls attribute resource consumption
 // (§7.1).
@@ -119,13 +136,8 @@ type Config struct {
 	TapBatch units.Time
 	// Billing selects gate billing semantics; default BillCaller.
 	Billing BillingMode
-	// EngineMode selects the engine's time-advancement strategy;
-	// ModeAuto (the zero value) uses the sim package default.
-	EngineMode sim.Mode
-	// Settle selects the busy-path advancement strategy; SettleAuto (the
-	// zero value) uses the kernel package default. Only effective on a
-	// next-event engine.
-	Settle SettleMode
+	// Mode selects how time advances; default ClosedForm.
+	Mode Mode
 	// StrictHoarding enables the §5.2.2 fundamental anti-hoarding rule.
 	StrictHoarding bool
 	// BacklightOn adds the backlight draw to the baseline.
@@ -176,14 +188,14 @@ type Kernel struct {
 	// billed; lastSchedAt is the instant of the last scheduler quantum.
 	baselinePending units.Time
 	lastSchedAt     units.Time
-	// Closed-form settlement state (SettleClosedForm on a next-event
+	// Closed-form settlement state (ClosedForm mode on a next-event
 	// engine): the flow and device tasks park outright and the work they
 	// skipped — tap batches, baseline batches, device ticks — settles
 	// lazily, in closed form where the depletion horizon allows and by
 	// exact replay where it does not, before any callback at an executed
 	// instant. tapsPending / devicesPending are the earliest tap batch
 	// boundary not yet flowed and the earliest tick not yet device-ticked.
-	lazySettle     bool
+	mode           Mode
 	tapsPending    units.Time
 	devicesPending units.Time
 	// billBaselineFn is billBaselineBatches bound once at construction,
@@ -344,11 +356,14 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	if cfg.TapBatch == 0 {
 		cfg.TapBatch = DefaultTapBatch
 	}
+	if !cfg.Mode.Valid() {
+		panic(fmt.Sprintf("kernel: invalid mode %d", uint8(cfg.Mode)))
+	}
 	if recycle {
-		k.Eng.Reset(cfg.Seed, cfg.EngineMode)
+		k.Eng.Reset(cfg.Seed, cfg.Mode.engine())
 		k.Table.Reset()
 	} else {
-		k.Eng = sim.NewEngineMode(cfg.Seed, cfg.EngineMode)
+		k.Eng = sim.NewEngineMode(cfg.Seed, cfg.Mode.engine())
 		k.Table = kobj.NewTable()
 	}
 	eng := k.Eng
@@ -393,11 +408,7 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 		k.Sched = sched.New(k.Table, cfg.Profile.CPUActive)
 	}
 
-	settle := cfg.Settle
-	if settle == SettleAuto {
-		settle = DefaultSettleMode()
-	}
-	k.lazySettle = settle == SettleClosedForm && eng.Mode() == sim.ModeNextEvent
+	k.mode = cfg.Mode
 
 	tick := eng.Tick()
 	k.tapBatch = cfg.TapBatch
@@ -406,7 +417,7 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 		if e.Mode() != sim.ModeNextEvent {
 			return
 		}
-		if k.devicesQuiescent() || (k.lazySettle && k.devicesSettleable()) {
+		if k.devicesQuiescent() || (k.mode == ClosedForm && k.devicesSettleable()) {
 			k.taskDevices.Park()
 		}
 	})
@@ -421,7 +432,7 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	})
 	k.taskTaps = eng.Every("kernel:taps", cfg.TapBatch, func(e *sim.Engine) {
 		k.fireTaps(e.Now())
-		if k.lazySettle {
+		if k.mode == ClosedForm {
 			k.taskTaps.Park()
 			return
 		}
@@ -429,14 +440,14 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	})
 	k.taskBaseline = eng.Every("kernel:baseline", cfg.TapBatch, func(e *sim.Engine) {
 		k.fireBaseline(e.Now())
-		if k.lazySettle {
+		if k.mode == ClosedForm {
 			k.taskBaseline.Park()
 			return
 		}
 		k.maybeDeferBatchTask(e, k.taskBaseline)
 	})
 	k.taskDecay = nil
-	k.lazyDecay = k.lazySettle && k.Graph.HalfLife() >= 0 && units.Second%cfg.TapBatch == 0
+	k.lazyDecay = k.mode == ClosedForm && k.Graph.HalfLife() >= 0 && units.Second%cfg.TapBatch == 0
 	if k.Graph.HalfLife() >= 0 {
 		k.taskDecay = eng.Every("kernel:decay", units.Second, func(e *sim.Engine) {
 			k.fireDecay(e.Now())
@@ -677,7 +688,7 @@ func (k *Kernel) maybeDeferBatchTask(e *sim.Engine, t *sim.Task) {
 func (k *Kernel) resumeKernelTasks() {
 	k.taskSched.Resume()
 	k.taskDevices.Resume()
-	if !k.lazySettle {
+	if k.mode != ClosedForm {
 		k.taskTaps.Resume()
 		k.taskBaseline.ResumeAt(k.baselinePending)
 	}
@@ -738,7 +749,7 @@ func (k *Kernel) invalidateSettlers() {
 // boundary work at pre-event rates, which is only exact when nothing at
 // the instant can change them.
 func (k *Kernel) syncAtAdvance(now units.Time) {
-	if k.lazySettle && k.fastBoundary(now) {
+	if k.mode == ClosedForm && k.fastBoundary(now) {
 		return
 	}
 	k.syncAt(now)
@@ -831,7 +842,7 @@ func (k *Kernel) settleWindow(devLimit, flowLimit, baseLimit, decayLimit units.T
 // (SetRate, SetBacklight, a radio Send), and the fixed-tick engine
 // performs the boundary's work at the post-event rate.
 func (k *Kernel) syncAt(now units.Time) {
-	if !k.lazySettle {
+	if k.mode != ClosedForm {
 		k.syncBaselineBefore(now)
 		if k.baselinePending == now && k.taskBaseline.NextDue() > now {
 			k.taskBaseline.ResumeAt(now)
@@ -1130,7 +1141,7 @@ func (k *Kernel) syncBaselineThrough(now units.Time) {
 // baseline) if the owning task did not itself fire there.
 func (k *Kernel) settle() {
 	now := k.Eng.Now()
-	if k.lazySettle {
+	if k.mode == ClosedForm {
 		k.syncPendingBefore(now)
 		if k.devicesPending == now && k.taskDevices.NextDue() > now {
 			k.fireDevices(now)
@@ -1261,12 +1272,11 @@ func (k *Kernel) AddSweepSettler(s SweepSettler) {
 	}
 }
 
-// LazySettle reports whether this kernel runs closed-form settlement on
-// a next-event engine — the regime in which a SweepSettler's parked task
-// has its skipped firings replayed lazily. Sweep settlers refuse to
-// predict outside it: on a fixed-tick engine or under per-batch
-// settlement every instant executes anyway, so there is nothing to save.
-func (k *Kernel) LazySettle() bool { return k.lazySettle }
+// Mode returns the kernel's mode. Sweep settlers (netd, the charger) and
+// the fleet battery watch settle in closed form only under ClosedForm:
+// in the other modes every instant executes anyway, so there is nothing
+// to save.
+func (k *Kernel) Mode() Mode { return k.mode }
 
 // TapsSettledThrough returns the last tap-batch boundary whose flows
 // have been applied. At a sweep settler's replay point (inside
@@ -1336,7 +1346,7 @@ func (k *Kernel) BatteryExhaustedFor(d units.Time) bool {
 // engine's earliest other pending work (`except` is the watchdog
 // itself). Deferring to the horizon detects battery death at exactly
 // the same grid instant dense polling would, which the fleet's
-// dense-watch differential test asserts.
+// watch-equivalence test (closed-form vs per-batch mode) asserts.
 func (k *Kernel) WatchHorizon(except *sim.Task) units.Time {
 	if k.Eng.Mode() != sim.ModeNextEvent || k.Sched.RunnableCount() > 0 {
 		return 0

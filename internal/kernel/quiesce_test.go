@@ -17,14 +17,14 @@ import (
 // events, so the parked baseline task is handed that boundary back
 // rather than having the advance hook bill it at the pre-event rate.
 func TestBacklightToggleAtBoundaryModeEquivalence(t *testing.T) {
-	consumed := func(mode sim.Mode) units.Energy {
-		k := New(Config{Seed: 1, BacklightOn: true, EngineMode: mode})
+	consumed := func(mode Mode) units.Energy {
+		k := New(Config{Seed: 1, BacklightOn: true, Mode: mode})
 		// No threads, no taps, no devices: fully quiescent immediately.
 		k.Eng.At(5*units.Second, func(*sim.Engine) { k.SetBacklight(false) })
 		k.Run(10 * units.Second)
 		return k.Consumed()
 	}
-	fixed, next := consumed(sim.ModeFixedTick), consumed(sim.ModeNextEvent)
+	fixed, next := consumed(FixedTick), consumed(ClosedForm)
 	if fixed != next {
 		t.Fatalf("consumed diverges: fixed-tick %v vs next-event %v (Δ %v)",
 			fixed, next, next-fixed)
@@ -40,7 +40,7 @@ func TestBacklightToggleAtBoundaryModeEquivalence(t *testing.T) {
 // to zero, and the remainder of the run re-enters the next-event fast
 // path (executed instants ≪ ticks).
 func TestReserveDeletionRestoresQuiescence(t *testing.T) {
-	k := New(Config{Seed: 3, EngineMode: sim.ModeNextEvent})
+	k := New(Config{Seed: 3})
 	// An app whose reserve lives in its own container while the feeding
 	// tap lives in root: deleting the app container kills the reserve
 	// but not the tap — the exact shape that leaked.
@@ -75,7 +75,7 @@ func TestReserveDeletionRestoresQuiescence(t *testing.T) {
 	}
 
 	// And the accounting must still match a tick-by-tick run.
-	k2 := New(Config{Seed: 3, EngineMode: sim.ModeFixedTick})
+	k2 := New(Config{Seed: 3, Mode: FixedTick})
 	app2 := kobj.NewContainer(k2.Table, k2.Root, "app", label.Public())
 	res2 := k2.CreateReserve(app2, "app-reserve", label.Public())
 	tap2, err := k2.CreateTap(k2.Root, "app-tap", k2.KernelPriv(), k2.Battery(), res2, label.Public())
@@ -105,14 +105,14 @@ func TestQuiescentIdleAccounting(t *testing.T) {
 		busy, idle  int64
 		utilization float64
 	}
-	run := func(mode sim.Mode) snap {
-		k := New(Config{Seed: 2, EngineMode: mode})
+	run := func(mode Mode) snap {
+		k := New(Config{Seed: 2, Mode: mode})
 		for i := 0; i < 3; i++ {
 			k.Run(7 * units.Second)
 		}
 		return snap{k.Consumed(), k.Sched.BusyTicks(), k.Sched.IdleTicks(), k.Sched.Utilization()}
 	}
-	fixed, next := run(sim.ModeFixedTick), run(sim.ModeNextEvent)
+	fixed, next := run(FixedTick), run(ClosedForm)
 	if fixed != next {
 		t.Fatalf("idle accounting diverges:\nfixed-tick %+v\nnext-event %+v", fixed, next)
 	}

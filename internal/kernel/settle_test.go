@@ -17,8 +17,8 @@ import (
 // sleep cycles with fund billing), a thread that alternates compute and
 // sleep, and a backlight toggle landing exactly on a batch boundary.
 // It returns the kernel and the radio for post-run inspection.
-func busyScenario(mode sim.Mode, settle SettleMode) (*Kernel, *radio.Radio) {
-	k := New(Config{Seed: 11, EngineMode: mode, Settle: settle})
+func busyScenario(mode Mode) (*Kernel, *radio.Radio) {
+	k := New(Config{Seed: 11, Mode: mode})
 	r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
 	k.AddDevice(r)
 
@@ -63,6 +63,9 @@ func busyScenario(mode sim.Mode, settle SettleMode) (*Kernel, *radio.Radio) {
 	return k, r
 }
 
+// modes lists the kernel modes, the fixed-tick oracle first.
+var modes = []Mode{FixedTick, PerBatch, ClosedForm}
+
 // busySnapshot captures every externally observable quantity.
 func busySnapshot(k *Kernel, r *radio.Radio) string {
 	lvl, _ := k.Battery().Level(k.KernelPriv())
@@ -79,23 +82,13 @@ func busySnapshot(k *Kernel, r *radio.Radio) string {
 // settlement — at every Run boundary, including short odd-length Runs
 // whose entry instants are re-stepped.
 func TestBusySettlementModeEquivalence(t *testing.T) {
-	type cfg struct {
-		name   string
-		mode   sim.Mode
-		settle SettleMode
-	}
-	configs := []cfg{
-		{"fixed-tick", sim.ModeFixedTick, SettlePerBatch},
-		{"per-batch", sim.ModeNextEvent, SettlePerBatch},
-		{"closed-form", sim.ModeNextEvent, SettleClosedForm},
-	}
 	spans := []units.Time{
 		3 * units.Second, 7*units.Second + 3, 10 * units.Second,
 		til(21*units.Second, 20*units.Second+3), 25 * units.Second,
 	}
 	var ref []string
-	for ci, c := range configs {
-		k, r := busyScenario(c.mode, c.settle)
+	for ci, mode := range modes {
+		k, r := busyScenario(mode)
 		var snaps []string
 		for _, d := range spans {
 			k.Run(d)
@@ -107,8 +100,8 @@ func TestBusySettlementModeEquivalence(t *testing.T) {
 		}
 		for i := range snaps {
 			if snaps[i] != ref[i] {
-				t.Errorf("%s diverges from fixed-tick after span %d:\n  fixed-tick: %s\n  %s: %s",
-					c.name, i, ref[i], c.name, snaps[i])
+				t.Errorf("%v diverges from fixed-tick after span %d:\n  fixed-tick: %s\n  %v: %s",
+					mode, i, ref[i], mode, snaps[i])
 			}
 		}
 	}
@@ -124,8 +117,8 @@ func til(b, a units.Time) units.Time { return b - a }
 // PR 1 gave this device its idle fast path; settlement gives it the
 // busy one.
 func TestBusyTapFastPath(t *testing.T) {
-	steps := func(settle SettleMode) uint64 {
-		k := New(Config{Seed: 5, EngineMode: sim.ModeNextEvent, Settle: settle})
+	steps := func(mode Mode) uint64 {
+		k := New(Config{Seed: 5, Mode: mode})
 		app := k.CreateReserve(k.Root, "app", label.Public())
 		tap, err := k.CreateTap(k.Root, "tap", k.KernelPriv(), k.Battery(), app, label.Public())
 		if err != nil {
@@ -137,13 +130,13 @@ func TestBusyTapFastPath(t *testing.T) {
 		k.Run(10 * units.Minute)
 		return k.Eng.Steps()
 	}
-	per, closed := steps(SettlePerBatch), steps(SettleClosedForm)
+	per, closed := steps(PerBatch), steps(ClosedForm)
 	if closed*20 >= per {
 		t.Fatalf("closed-form executed %d instants vs %d per-batch — busy fast path not engaged (want ≥ 20x fewer)", closed, per)
 	}
 	// And the accounting must agree exactly.
-	consumed := func(settle SettleMode) units.Energy {
-		k := New(Config{Seed: 5, EngineMode: sim.ModeNextEvent, Settle: settle})
+	consumed := func(mode Mode) units.Energy {
+		k := New(Config{Seed: 5, Mode: mode})
 		app := k.CreateReserve(k.Root, "app", label.Public())
 		tap, _ := k.CreateTap(k.Root, "tap", k.KernelPriv(), k.Battery(), app, label.Public())
 		if err := tap.SetRate(k.KernelPriv(), units.Milliwatts(79)); err != nil {
@@ -153,7 +146,7 @@ func TestBusyTapFastPath(t *testing.T) {
 		lvl, _ := app.Level(k.KernelPriv())
 		return k.Consumed()*1_000_000 + lvl%1_000_000 // fold both into one comparand
 	}
-	if a, b := consumed(SettlePerBatch), consumed(SettleClosedForm); a != b {
+	if a, b := consumed(PerBatch), consumed(ClosedForm); a != b {
 		t.Fatalf("accounting diverges: per-batch %d vs closed-form %d", a, b)
 	}
 }
@@ -163,8 +156,8 @@ func TestBusyTapFastPath(t *testing.T) {
 // partial-drain endgame takes the exact-replay path and must match the
 // fixed-tick engine microjoule for microjoule.
 func TestDyingDeviceSettlementEquivalence(t *testing.T) {
-	run := func(mode sim.Mode, settle SettleMode) string {
-		k := New(Config{Seed: 3, EngineMode: mode, Settle: settle,
+	run := func(mode Mode) string {
+		k := New(Config{Seed: 3, Mode: mode,
 			BatteryCapacity: 12 * units.Joule})
 		r := radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
 		k.AddDevice(r)
@@ -187,8 +180,8 @@ func TestDyingDeviceSettlementEquivalence(t *testing.T) {
 		}
 		return fmt.Sprint(snaps)
 	}
-	fixed := run(sim.ModeFixedTick, SettlePerBatch)
-	closed := run(sim.ModeNextEvent, SettleClosedForm)
+	fixed := run(FixedTick)
+	closed := run(ClosedForm)
 	if fixed != closed {
 		t.Fatalf("dying device diverges:\nfixed-tick:  %s\nclosed-form: %s", fixed, closed)
 	}

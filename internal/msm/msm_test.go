@@ -336,8 +336,8 @@ func TestSharedReserveCallPlusGPSSettleEquivalence(t *testing.T) {
 		calls    int64
 		fixes    int64
 	}
-	run := func(settle kernel.SettleMode) outcome {
-		k := kernel.New(kernel.Config{Seed: 8, DecayHalfLife: -1, Settle: settle})
+	run := func(mode kernel.Mode) outcome {
+		k := kernel.New(kernel.Config{Seed: 8, DecayHalfLife: -1, Mode: mode})
 		d, err := NewSmdd(k, DefaultSmddConfig(), DefaultARM9Config())
 		if err != nil {
 			t.Fatal(err)
@@ -366,8 +366,8 @@ func TestSharedReserveCallPlusGPSSettleEquivalence(t *testing.T) {
 			}), res)
 		k.Run(20 * units.Second)
 		if d.arm9.CallStateNow() != CallActive || !d.arm9.GPSOn() {
-			t.Fatalf("settle=%v: call %v gps %v, want both active",
-				settle, d.arm9.CallStateNow(), d.arm9.GPSOn())
+			t.Fatalf("mode=%v: call %v gps %v, want both active",
+				mode, d.arm9.CallStateNow(), d.arm9.GPSOn())
 		}
 		st, err := res.Stats(k.KernelPriv())
 		if err != nil {
@@ -380,8 +380,8 @@ func TestSharedReserveCallPlusGPSSettleEquivalence(t *testing.T) {
 		s := d.Stats()
 		return outcome{k.Consumed(), lvl, st, s.CallsPlaced, s.GPSFixes}
 	}
-	closed := run(kernel.SettleClosedForm)
-	batch := run(kernel.SettlePerBatch)
+	closed := run(kernel.ClosedForm)
+	batch := run(kernel.PerBatch)
 	if closed != batch {
 		t.Fatalf("closed-form settlement diverges on a shared non-debt reserve:\n%+v\nvs per-batch\n%+v",
 			closed, batch)

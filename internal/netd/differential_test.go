@@ -3,8 +3,8 @@ package netd
 // Differential and fuzz coverage for closed-form sweep settlement. The
 // oracle is exactness: a cooperative-pooling scenario must produce
 // byte-identical observable state whether sweeps execute every period
-// (per-sweep), are accounted in closed form, or the whole simulation
-// walks every tick. Scenarios are decoded from byte strings so the same
+// (per-batch mode), are accounted in closed form, or the whole
+// simulation walks every tick. Scenarios are decoded from byte strings so the same
 // generator feeds both the fixed three-way test and the fuzzer, which
 // mutates waiter arrival/departure timing and tap rates freely.
 
@@ -138,15 +138,15 @@ func newRigMode(t testing.TB, kcfg kernel.Config, cfg Config) *rig {
 // Each chunk boundary also checks conservation: the battery's initial
 // charge equals battery + app reserves + pool + radio fund + consumed,
 // exactly, in integer microjoules.
-func runScenario(t testing.TB, em sim.Mode, km, nm kernel.SettleMode, sc scenario, invariants bool) []chunkState {
+func runScenario(t testing.TB, mode kernel.Mode, sc scenario, invariants bool) []chunkState {
 	t.Helper()
 	halfLife := units.Time(-1)
 	if sc.decay {
 		halfLife = core.DefaultHalfLife
 	}
 	r := newRigMode(t,
-		kernel.Config{Seed: 7, DecayHalfLife: halfLife, EngineMode: em, Settle: km},
-		Config{Cooperative: true, QuiescentSweep: true, NoPoolTrace: true, Settle: nm, SweepPeriod: sc.sweep})
+		kernel.Config{Seed: 7, DecayHalfLife: halfLife, Mode: mode},
+		Config{Cooperative: true, QuiescentSweep: true, NoPoolTrace: true, SweepPeriod: sc.sweep})
 	kp := r.k.KernelPriv()
 
 	var (
@@ -281,26 +281,26 @@ var fuzzSeeds = [][]byte{
 	{1, 0, 10, 0, 2, 3, 3, 1, 20, 0, 0, 50, 80, 20},
 }
 
-// TestThreeWaySettleDifferential runs each seed scenario under three
-// regimes — a fixed-tick engine, a next-event engine with per-sweep
-// netd execution, and the closed-form settlement path — and requires
-// identical observable state at every chunk boundary.
+// TestThreeWaySettleDifferential runs each seed scenario under the
+// three kernel modes — fixed-tick, per-batch (per-sweep netd
+// execution) and closed-form — and requires identical observable state
+// at every chunk boundary.
 func TestThreeWaySettleDifferential(t *testing.T) {
 	for i, seed := range fuzzSeeds {
 		sc := decodeScenario(seed)
-		fixed := runScenario(t, sim.ModeFixedTick, kernel.SettleAuto, kernel.SettleAuto, sc, false)
-		perSweep := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettlePerBatch, sc, false)
-		closed := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettleClosedForm, sc, true)
-		if d := diffStates(fixed, perSweep); d != "" {
-			t.Errorf("scenario %d: fixed-tick vs per-sweep: %s", i, d)
+		fixed := runScenario(t, kernel.FixedTick, sc, false)
+		perBatch := runScenario(t, kernel.PerBatch, sc, false)
+		closed := runScenario(t, kernel.ClosedForm, sc, true)
+		if d := diffStates(fixed, perBatch); d != "" {
+			t.Errorf("scenario %d: fixed-tick vs per-batch: %s", i, d)
 		}
-		if d := diffStates(perSweep, closed); d != "" {
-			t.Errorf("scenario %d: per-sweep vs closed-form: %s", i, d)
+		if d := diffStates(perBatch, closed); d != "" {
+			t.Errorf("scenario %d: per-batch vs closed-form: %s", i, d)
 		}
 	}
 }
 
-// TestSettleDifferentialWithDecay repeats the per-sweep vs closed-form
+// TestSettleDifferentialWithDecay repeats the per-batch vs closed-form
 // comparison with the global half-life on. The waiters' reserves are
 // decayable, and closed-form settlement settles decay bites lazily, so a
 // deferred sweep must keep the decay task on its grid (netd pins it):
@@ -313,15 +313,15 @@ func TestSettleDifferentialWithDecay(t *testing.T) {
 	for i, seed := range fuzzSeeds {
 		sc := decodeScenario(seed)
 		sc.decay, sc.sweep = true, 300*units.Millisecond
-		perSweep := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettlePerBatch, sc, false)
-		closed := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettleClosedForm, sc, true)
-		if d := diffStates(perSweep, closed); d != "" {
-			t.Errorf("scenario %d: per-sweep vs closed-form: %s", i, d)
+		perBatch := runScenario(t, kernel.PerBatch, sc, false)
+		closed := runScenario(t, kernel.ClosedForm, sc, true)
+		if d := diffStates(perBatch, closed); d != "" {
+			t.Errorf("scenario %d: per-batch vs closed-form: %s", i, d)
 		}
 	}
 }
 
-// FuzzPoolSettle drives per-sweep and closed-form rigs through the same
+// FuzzPoolSettle drives per-batch and closed-form rigs through the same
 // fuzz-decoded scenario, without and with the global half-life, and
 // requires identical chunk states, alongside the mid-run probe
 // invariants (future-only predictions, monotonicity absent new
@@ -334,10 +334,10 @@ func FuzzPoolSettle(f *testing.F) {
 		sc := decodeScenario(data)
 		for _, decay := range []bool{false, true} {
 			sc.decay = decay
-			perSweep := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettlePerBatch, sc, false)
-			closed := runScenario(t, sim.ModeNextEvent, kernel.SettleClosedForm, kernel.SettleClosedForm, sc, true)
-			if d := diffStates(perSweep, closed); d != "" {
-				t.Fatalf("decay %v: per-sweep vs closed-form diverged: %s", decay, d)
+			perBatch := runScenario(t, kernel.PerBatch, sc, false)
+			closed := runScenario(t, kernel.ClosedForm, sc, true)
+			if d := diffStates(perBatch, closed); d != "" {
+				t.Fatalf("decay %v: per-batch vs closed-form diverged: %s", decay, d)
 			}
 		}
 	})

@@ -59,7 +59,7 @@ func Registry() []Scenario {
 	scens := []Scenario{
 		{
 			Name:  "dayinthelife",
-			About: "heterogeneous 5-bucket daily mix; smoke folds in the worker-count, tap-settlement and netd-sweep equivalence checks",
+			About: "heterogeneous 5-bucket daily mix; smoke folds in the worker-count and per-batch-mode equivalence checks",
 			Tiers: map[string]Spec{
 				TierSmoke:   {Budget: time.Minute, Run: runDaySmoke},
 				TierNightly: {Budget: 3 * time.Minute, Run: plainRun(fleetCfg("dayinthelife", 1000, 1, 24*units.Hour))},
@@ -75,36 +75,25 @@ func Registry() []Scenario {
 		},
 		{
 			Name:  "monthinthelife",
-			About: "30-day horizon with overnight charges; smoke folds in the charger-settlement and dense-watch equivalence checks",
+			About: "30-day horizon with overnight charges; smoke folds in the per-batch-mode equivalence check",
 			Tiers: map[string]Spec{
-				// The 26 h horizon crosses an overnight charge; per-charge
-				// settlement, alone and stacked on per-batch taps, and the
-				// dense per-second battery watch must reproduce the
-				// closed-form report exactly.
-				TierSmoke: {Budget: time.Minute, Run: settleEquivRun(fleetCfg("monthinthelife", 16, 11, 26*units.Hour),
-					settleVariant{"per-charge", func(c *fleet.Config) { c.ChargerSettle = kernel.SettlePerBatch }},
-					settleVariant{"per-charge + per-batch taps", func(c *fleet.Config) {
-						c.ChargerSettle = kernel.SettlePerBatch
-						c.Settle = kernel.SettlePerBatch
-					}},
-					settleVariant{"dense watch", func(c *fleet.Config) { c.DenseWatch = true }},
-				)},
+				// The 26 h horizon crosses an overnight charge; the
+				// per-batch mode (per-quantum charging, per-second battery
+				// watch) must reproduce the closed-form report exactly.
+				TierSmoke:   {Budget: time.Minute, Run: perBatchEquivRun(fleetCfg("monthinthelife", 16, 11, 26*units.Hour))},
 				TierNightly: {Budget: 5 * time.Minute, Run: plainRun(fleetCfg("monthinthelife", 150, 11, 30*24*units.Hour))},
 			},
 		},
 		{
 			Name:  "adversarial",
-			About: "§5.2.2 cohorts (adv-victim phones, adv-lax and adv-strict hoarders); smoke folds in the backward-tap settlement and dense-watch equivalence checks",
+			About: "§5.2.2 cohorts (adv-victim phones, adv-lax and adv-strict hoarders); smoke folds in the per-batch-mode equivalence check",
 			Tiers: map[string]Spec{
 				// The hoarder cohorts settle their backward taps on locals
 				// (core's backward-tap loop) with the decay bites folded in;
-				// replaying every batch through Graph.Flow, and polling the
-				// battery every second while the feeds drain it, must
-				// reproduce the closed-form report exactly.
-				TierSmoke: {Budget: time.Minute, Run: settleEquivRun(fleetCfg("adversarial", 64, 1, 6*units.Hour),
-					settleVariant{"per-batch taps", func(c *fleet.Config) { c.Settle = kernel.SettlePerBatch }},
-					settleVariant{"dense watch", func(c *fleet.Config) { c.DenseWatch = true }},
-				)},
+				// the per-batch mode — every batch through Graph.Flow, the
+				// battery polled every second while the feeds drain it —
+				// must reproduce the closed-form report exactly.
+				TierSmoke:   {Budget: time.Minute, Run: perBatchEquivRun(fleetCfg("adversarial", 64, 1, 6*units.Hour))},
 				TierNightly: {Budget: 10 * time.Minute, Run: plainRun(fleetCfg("adversarial", 1000, 1, 24*units.Hour))},
 			},
 		},
@@ -183,7 +172,7 @@ func plainRun(cfg fleet.Config) func() (Sample, error) {
 // matches want's byte for byte — full JSON when canonical is false
 // (engine diagnostics included: right for worker-count variants, which
 // are exactly deterministic), canonical JSON when true (energy-shaped
-// fields only: right for settle-mode variants, whose executed-instant
+// fields only: right for the per-batch mode, whose executed-instant
 // diagnostics legitimately differ). Returns the variant's simulated
 // coverage for throughput accounting.
 func equalAs(label string, want []byte, cfg fleet.Config, canonical bool) (float64, error) {
@@ -207,8 +196,7 @@ func equalAs(label string, want []byte, cfg fleet.Config, canonical bool) (float
 }
 
 // runDaySmoke is the PR-tier day scenario: the reference run plus the
-// worker-count, closed-form-tap and netd-sweep equivalence checks that
-// replaced four ad-hoc ci.yml smoke steps.
+// worker-count and per-batch-mode equivalence checks.
 func runDaySmoke() (Sample, error) {
 	cfg := fleetCfg("dayinthelife", 48, 1, 4*units.Hour)
 	cfg.KeepResults = true
@@ -232,12 +220,7 @@ func runDaySmoke() (Sample, error) {
 	}{
 		{"workers=1", false, func(c *fleet.Config) { c.Workers = 1 }},
 		{"workers=4", false, func(c *fleet.Config) { c.Workers = 4 }},
-		{"per-batch taps", true, func(c *fleet.Config) { c.Settle = kernel.SettlePerBatch }},
-		{"per-sweep netd", true, func(c *fleet.Config) { c.NetdSettle = kernel.SettlePerBatch }},
-		{"per-sweep netd + per-batch taps", true, func(c *fleet.Config) {
-			c.NetdSettle = kernel.SettlePerBatch
-			c.Settle = kernel.SettlePerBatch
-		}},
+		{"per-batch", true, func(c *fleet.Config) { c.Mode = kernel.PerBatch }},
 	} {
 		vc := cfg
 		v.mut(&vc)
@@ -304,15 +287,10 @@ func runWeekSmoke() (Sample, error) {
 	return Sample{Report: ref, MD5: sum, ExtraDeviceDays: deviceDays(cfg)}, nil
 }
 
-// settleVariant is one settle-mode cross-check folded into a smoke spec.
-type settleVariant struct {
-	label string
-	mut   func(*fleet.Config)
-}
-
-// settleEquivRun runs cfg as the reference and fails unless every
-// variant reproduces its per-device canonical report byte for byte.
-func settleEquivRun(cfg fleet.Config, variants ...settleVariant) func() (Sample, error) {
+// perBatchEquivRun runs cfg as the reference and fails unless the
+// per-batch mode reproduces its per-device canonical report byte for
+// byte.
+func perBatchEquivRun(cfg fleet.Config) func() (Sample, error) {
 	return func() (Sample, error) {
 		cfg := cfg
 		cfg.KeepResults = true
@@ -324,15 +302,11 @@ func settleEquivRun(cfg fleet.Config, variants ...settleVariant) func() (Sample,
 		if err != nil {
 			return Sample{}, err
 		}
-		extra := 0.0
-		for _, v := range variants {
-			vc := cfg
-			v.mut(&vc)
-			dd, err := equalAs(v.label, want, vc, true)
-			if err != nil {
-				return Sample{}, err
-			}
-			extra += dd
+		vc := cfg
+		vc.Mode = kernel.PerBatch
+		extra, err := equalAs("per-batch", want, vc, true)
+		if err != nil {
+			return Sample{}, err
 		}
 		sum, err := canonicalMD5(ref, false)
 		if err != nil {

@@ -244,18 +244,3 @@ func TestAdvanceHookRunsOncePerInstant(t *testing.T) {
 		t.Fatalf("hook times = %v, want %v", hookTimes, want)
 	}
 }
-
-func TestDefaultModeToggle(t *testing.T) {
-	defer SetDefaultMode(ModeNextEvent)
-	SetDefaultMode(ModeFixedTick)
-	if e := NewEngine(1); e.Mode() != ModeFixedTick {
-		t.Fatalf("Mode() = %v, want fixed-tick", e.Mode())
-	}
-	SetDefaultMode(ModeNextEvent)
-	if e := NewEngine(1); e.Mode() != ModeNextEvent {
-		t.Fatalf("Mode() = %v, want next-event", e.Mode())
-	}
-	if got := NewEngineMode(1, ModeFixedTick).Mode(); got != ModeFixedTick {
-		t.Fatalf("explicit mode ignored: %v", got)
-	}
-}
