@@ -487,7 +487,7 @@ func BenchmarkFleetDayInTheLifeMix(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(rep.TotalEngineSteps)/float64(rep.Devices), "instants/device")
+			b.ReportMetric(float64(rep.Diag.EngineSteps)/float64(rep.Devices), "instants/device")
 		})
 	}
 }

@@ -163,11 +163,11 @@ func encodeResult(res DeviceResult) ([]byte, error) {
 	w.I64(res.PowerUps)
 	w.I64(res.SMSSent)
 	w.I64(res.CallsPlaced)
-	w.U64(res.EngineSteps)
-	w.I64(res.FlowWalks)
-	w.I64(res.SettledBatches)
-	w.I64(res.SettledSweeps)
-	w.I64(res.SettledCharges)
+	w.U64(res.Diag.EngineSteps)
+	w.I64(res.Diag.FlowWalks)
+	w.I64(res.Diag.SettledBatches)
+	w.I64(res.Diag.SettledSweeps)
+	w.I64(res.Diag.SettledCharges)
 	return w.Finish()
 }
 
@@ -198,11 +198,11 @@ func decodeResult(blob []byte) (DeviceResult, error) {
 	res.PowerUps = r.I64()
 	res.SMSSent = r.I64()
 	res.CallsPlaced = r.I64()
-	res.EngineSteps = r.U64()
-	res.FlowWalks = r.I64()
-	res.SettledBatches = r.I64()
-	res.SettledSweeps = r.I64()
-	res.SettledCharges = r.I64()
+	res.Diag.EngineSteps = r.U64()
+	res.Diag.FlowWalks = r.I64()
+	res.Diag.SettledBatches = r.I64()
+	res.Diag.SettledSweeps = r.I64()
+	res.Diag.SettledCharges = r.I64()
 	if err := r.Err(); err != nil {
 		return DeviceResult{}, err
 	}
@@ -530,7 +530,7 @@ func blobKind(blob []byte) (string, error) {
 }
 
 // runEpochs is the checkpointed run path (see the file comment).
-func runEpochs(cfg Config, workers int, agg *aggregate) error {
+func runEpochs(cfg Config, workers int, agg aggregate) error {
 	lo, hi := cfg.shardRange()
 	plan := planEpochs(cfg)
 

@@ -37,9 +37,9 @@ func TestComposeTeardownRestoresQuiescence(t *testing.T) {
 		t.Fatal("poller window completed no polls")
 	}
 	ticks := uint64(20 * units.Minute / units.Millisecond)
-	if r.EngineSteps*20 >= ticks {
+	if r.Diag.EngineSteps*20 >= ticks {
 		t.Fatalf("composed day executed %d instants over %d ticks — teardown did not restore quiescence",
-			r.EngineSteps, ticks)
+			r.Diag.EngineSteps, ticks)
 	}
 }
 

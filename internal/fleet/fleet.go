@@ -151,24 +151,39 @@ type DeviceResult struct {
 	// Smdd only).
 	SMSSent     int64
 	CallsPlaced int64
-	// EngineSteps is the number of simulation instants the device's
-	// engine actually executed — the quiescence fast path shows up as
+	// Diag counts how the device's simulation was advanced (excluded
+	// from CanonicalJSON).
+	Diag Diagnostics
+}
+
+// Diagnostics are the engine-level counters of *how* a simulation was
+// advanced, not what happened in it: they legitimately differ between
+// modes and between checkpointed and uninterrupted runs, so
+// CanonicalJSON zeroes them at every level. Every field is an integer
+// sum, so fleet and shard totals merge exactly. The JSON tags are the
+// report's wire keys at the fleet, device and partial-bucket levels.
+type Diagnostics struct {
+	// EngineSteps is the number of simulation instants the engine
+	// actually executed — the quiescence fast path shows up as
 	// EngineSteps ≪ simulated ticks.
-	EngineSteps uint64
-	// FlowWalks counts per-batch tap walks the device's graph performed;
+	EngineSteps uint64 `json:"engine_steps"`
+	// FlowWalks counts per-batch tap walks the graph performed;
 	// SettledBatches counts batches advanced by closed-form settlement
-	// instead. Their ratio is the busy-path fast-path engagement measure
-	// (engine-level diagnostics, excluded from CanonicalJSON).
-	FlowWalks      int64
-	SettledBatches int64
-	// SettledSweeps counts netd sweep boundaries accounted in closed
-	// form instead of executed (diagnostics, excluded from
-	// CanonicalJSON).
-	SettledSweeps int64
-	// SettledCharges counts charger quantum boundaries accounted in
-	// closed form instead of executed (diagnostics, excluded from
-	// CanonicalJSON).
-	SettledCharges int64
+	// instead. Their ratio is the busy-path fast-path engagement measure.
+	FlowWalks      int64 `json:"flow_walks"`
+	SettledBatches int64 `json:"settled_batches"`
+	// SettledSweeps and SettledCharges count netd sweep and charger
+	// quantum boundaries accounted in closed form instead of executed.
+	SettledSweeps  int64 `json:"settled_sweeps"`
+	SettledCharges int64 `json:"settled_charges,omitempty"`
+}
+
+func (d *Diagnostics) add(o Diagnostics) {
+	d.EngineSteps += o.EngineSteps
+	d.FlowWalks += o.FlowWalks
+	d.SettledBatches += o.SettledBatches
+	d.SettledSweeps += o.SettledSweeps
+	d.SettledCharges += o.SettledCharges
 }
 
 // Scenario builds a workload onto a device. Implementations must be
@@ -417,15 +432,10 @@ type Report struct {
 	LifeP50 units.Time
 	LifeP90 units.Time
 
-	// Engine-level diagnostics (excluded from CanonicalJSON): executed
-	// instants, per-batch flow walks and closed-form-settled batches
-	// summed over the fleet. CI diffs these across worker counts and
-	// watches them for busy-path perf regressions.
-	TotalEngineSteps    uint64
-	TotalFlowWalks      int64
-	TotalSettledBatches int64
-	TotalSettledSweeps  int64
-	TotalSettledCharges int64
+	// Diag sums the engine diagnostics over the fleet (excluded from
+	// CanonicalJSON). CI diffs them across worker counts and watches
+	// them for busy-path perf regressions.
+	Diag Diagnostics
 
 	// Buckets break the fleet down per scenario bucket, sorted by
 	// name. Single-scenario runs have exactly one bucket; Mix fleets
@@ -542,11 +552,7 @@ type reportJSON struct {
 	LifeP50MS int64 `json:"life_p50_ms"`
 	LifeP90MS int64 `json:"life_p90_ms"`
 
-	EngineSteps    uint64 `json:"engine_steps"`
-	FlowWalks      int64  `json:"flow_walks"`
-	SettledBatches int64  `json:"settled_batches"`
-	SettledSweeps  int64  `json:"settled_sweeps"`
-	SettledCharges int64  `json:"settled_charges,omitempty"`
+	Diagnostics
 
 	Buckets []bucketJSON `json:"buckets"`
 	Results []deviceJSON `json:"results,omitempty"`
@@ -577,27 +583,23 @@ type bucketJSON struct {
 }
 
 type deviceJSON struct {
-	Index          int     `json:"index"`
-	Seed           int64   `json:"seed"`
-	Scenario       string  `json:"scenario"`
-	ConsumedUJ     int64   `json:"consumed_uj"`
-	BatteryLeftUJ  int64   `json:"battery_left_uj"`
-	RechargedUJ    int64   `json:"recharged_uj,omitempty"`
-	ReclaimedUJ    int64   `json:"reclaimed_uj,omitempty"`
-	Died           bool    `json:"died"`
-	DiedAtMS       int64   `json:"died_at_ms,omitempty"`
-	Utilization    float64 `json:"utilization_pct"`
-	Activations    int64   `json:"radio_activations"`
-	Polls          int64   `json:"polls"`
-	Pages          int64   `json:"pages"`
-	PowerUps       int64   `json:"netd_power_ups"`
-	SMSSent        int64   `json:"sms_sent"`
-	Calls          int64   `json:"calls_placed"`
-	EngineSteps    uint64  `json:"engine_steps"`
-	FlowWalks      int64   `json:"flow_walks"`
-	SettledBatches int64   `json:"settled_batches"`
-	SettledSweeps  int64   `json:"settled_sweeps"`
-	SettledCharges int64   `json:"settled_charges,omitempty"`
+	Index         int     `json:"index"`
+	Seed          int64   `json:"seed"`
+	Scenario      string  `json:"scenario"`
+	ConsumedUJ    int64   `json:"consumed_uj"`
+	BatteryLeftUJ int64   `json:"battery_left_uj"`
+	RechargedUJ   int64   `json:"recharged_uj,omitempty"`
+	ReclaimedUJ   int64   `json:"reclaimed_uj,omitempty"`
+	Died          bool    `json:"died"`
+	DiedAtMS      int64   `json:"died_at_ms,omitempty"`
+	Utilization   float64 `json:"utilization_pct"`
+	Activations   int64   `json:"radio_activations"`
+	Polls         int64   `json:"polls"`
+	Pages         int64   `json:"pages"`
+	PowerUps      int64   `json:"netd_power_ups"`
+	SMSSent       int64   `json:"sms_sent"`
+	Calls         int64   `json:"calls_placed"`
+	Diagnostics
 }
 
 // JSON renders the report as deterministic, worker-count-independent
@@ -638,11 +640,7 @@ func (r Report) marshalJSON(perDevice, canonical bool) ([]byte, error) {
 		LifeP90MS:       int64(r.LifeP90),
 	}
 	if !canonical {
-		out.EngineSteps = r.TotalEngineSteps
-		out.FlowWalks = r.TotalFlowWalks
-		out.SettledBatches = r.TotalSettledBatches
-		out.SettledSweeps = r.TotalSettledSweeps
-		out.SettledCharges = r.TotalSettledCharges
+		out.Diagnostics = r.Diag
 	}
 	for _, b := range r.Buckets {
 		bj := bucketJSON{
@@ -703,11 +701,7 @@ func deviceWire(d DeviceResult, canonical bool) deviceJSON {
 		Calls:         d.CallsPlaced,
 	}
 	if !canonical {
-		dj.EngineSteps = d.EngineSteps
-		dj.FlowWalks = d.FlowWalks
-		dj.SettledBatches = d.SettledBatches
-		dj.SettledSweeps = d.SettledSweeps
-		dj.SettledCharges = d.SettledCharges
+		dj.Diagnostics = d.Diag
 	}
 	return dj
 }
@@ -811,7 +805,7 @@ func Run(cfg Config) (Report, error) {
 			return nil
 		}
 	}
-	agg := newAggregate()
+	agg := aggregate{}
 	if err := runRange(cfg, workers, agg); err != nil {
 		return Report{}, err
 	}
@@ -824,7 +818,7 @@ func Run(cfg Config) (Report, error) {
 // the code path Run, RunShard, and every coordinator-dispatched
 // ShardRun share. With a checkpoint dir the range proceeds epoch by
 // epoch; otherwise each device runs its whole horizon in one pass.
-func runRange(cfg Config, workers int, agg *aggregate) error {
+func runRange(cfg Config, workers int, agg aggregate) error {
 	if cfg.CheckpointDir != "" {
 		return runEpochs(cfg, workers, agg)
 	}
@@ -833,7 +827,7 @@ func runRange(cfg Config, workers int, agg *aggregate) error {
 
 // accept folds one final device result into the aggregate and streams
 // it to the PerDevice emitter.
-func accept(cfg *Config, agg *aggregate, res DeviceResult) error {
+func accept(cfg *Config, agg aggregate, res DeviceResult) error {
 	agg.add(res)
 	if cfg.PerDevice == nil {
 		return nil
@@ -843,7 +837,7 @@ func accept(cfg *Config, agg *aggregate, res DeviceResult) error {
 
 // runWhole is the single-pass path: every device simulates its full
 // horizon in one go.
-func runWhole(cfg Config, workers int, agg *aggregate) error {
+func runWhole(cfg Config, workers int, agg aggregate) error {
 	lo, hi := cfg.shardRange()
 	m := newMeter(&cfg, lo, hi, 1)
 	m.pass(0, 0, cfg.Duration)
@@ -1136,14 +1130,16 @@ func extractResult(d *Device, res *DeviceResult) {
 	res.IdleTicks = k.Sched.IdleTicks()
 	res.RadioActivations = d.Radio.Stats().Activations
 	res.PowerUps = d.Netd.Stats().PowerUps
-	res.EngineSteps = k.Eng.Steps()
-	res.FlowWalks = k.Graph.FlowWalks()
-	res.SettledBatches = k.Graph.SettledBatches()
-	res.SettledSweeps = d.Netd.Stats().SettledSweeps
+	res.Diag = Diagnostics{
+		EngineSteps:    k.Eng.Steps(),
+		FlowWalks:      k.Graph.FlowWalks(),
+		SettledBatches: k.Graph.SettledBatches(),
+		SettledSweeps:  d.Netd.Stats().SettledSweeps,
+	}
 	if c := k.Charger(); c != nil {
 		cs := c.Stats()
 		res.Recharged = cs.Recharged
-		res.SettledCharges = cs.SettledCharges
+		res.Diag.SettledCharges = cs.SettledCharges
 	}
 	if d.Smdd != nil {
 		s := d.Smdd.Stats()
@@ -1155,170 +1151,127 @@ func extractResult(d *Device, res *DeviceResult) {
 	}
 }
 
-// aggregate is the mergeable core of a Report: integer sums, counts and
-// quantile sketches only — no retained per-device arrays (Results is
-// kept solely under KeepResults), and no floats until finish. Merging
-// two aggregates is element-wise addition, so shard partials combine
-// into exactly the aggregate a single process builds.
-type aggregate struct {
-	seen           int
-	totalConsumed  units.Energy
-	minConsumed    units.Energy
-	maxConsumed    units.Energy
-	recharged      units.Energy
-	reclaimed      units.Energy
-	busyTicks      int64
-	idleTicks      int64
-	polls          int64
-	activations    int64
-	powerUps       int64
-	engineSteps    uint64
-	flowWalks      int64
-	settled        int64
-	settledSweeps  int64
-	settledCharges int64
-	dead           int
-	lives          sketch.Hist
+// aggregate is the mergeable core of a Report: one tally per scenario
+// bucket, keyed by bucket name. The fleet-wide figures are the merge of
+// the bucket tallies (finish), so no second copy of the totals exists
+// to disagree with the buckets.
+type aggregate map[string]*tally
 
-	byName map[string]*bucketAgg
+// tally is one bucket's mergeable aggregate: integer sums, min/max
+// consumption, diagnostics, deaths and the life-percentile sketch — no
+// retained per-device arrays, and no floats until finish. Every field
+// is an integer sum, a min/max or a sketch merge, all associative, so
+// any grouping of devices (shards, buckets) merges into the identical
+// tally. The exported fields are the partial report's bucket wire form.
+type tally struct {
+	Devices     int          `json:"devices"`
+	Consumed    units.Energy `json:"total_consumed_uj"`
+	MinConsumed units.Energy `json:"min_consumed_uj"`
+	MaxConsumed units.Energy `json:"max_consumed_uj"`
+	BusyTicks   int64        `json:"busy_ticks"`
+	IdleTicks   int64        `json:"idle_ticks"`
+	Polls       int64        `json:"polls"`
+	Pages       int64        `json:"pages"`
+	Activations int64        `json:"radio_activations"`
+	PowerUps    int64        `json:"netd_power_ups"`
+	SMSSent     int64        `json:"sms_sent"`
+	Calls       int64        `json:"calls_placed"`
+	Diagnostics
+	Recharged units.Energy `json:"recharged_uj,omitempty"`
+	Reclaimed units.Energy `json:"reclaimed_uj,omitempty"`
+	Dead      int          `json:"dead"`
+	lives     sketch.Hist
 }
 
-// bucketAgg is one scenario bucket's mergeable aggregate.
-type bucketAgg struct {
-	devices        int
-	consumed       units.Energy
-	recharged      units.Energy
-	reclaimed      units.Energy
-	busyTicks      int64
-	idleTicks      int64
-	polls          int64
-	pages          int64
-	activations    int64
-	powerUps       int64
-	sms            int64
-	calls          int64
-	steps          uint64
-	flowWalks      int64
-	settled        int64
-	settledSweeps  int64
-	settledCharges int64
-	dead           int
-	lives          sketch.Hist
-}
-
-func newAggregate() *aggregate {
-	return &aggregate{byName: make(map[string]*bucketAgg)}
-}
-
-// add folds one device's result into the aggregate.
-func (a *aggregate) add(r DeviceResult) {
-	a.totalConsumed += r.Consumed
-	if a.seen == 0 || r.Consumed < a.minConsumed {
-		a.minConsumed = r.Consumed
+// add folds one device's result into the tally.
+func (t *tally) add(r DeviceResult) {
+	if t.Devices == 0 || r.Consumed < t.MinConsumed {
+		t.MinConsumed = r.Consumed
 	}
-	if r.Consumed > a.maxConsumed {
-		a.maxConsumed = r.Consumed
+	if r.Consumed > t.MaxConsumed {
+		t.MaxConsumed = r.Consumed
 	}
-	a.recharged += r.Recharged
-	a.reclaimed += r.Reclaimed
-	a.busyTicks += r.BusyTicks
-	a.idleTicks += r.IdleTicks
-	a.polls += r.Polls
-	a.activations += r.RadioActivations
-	a.powerUps += r.PowerUps
-	a.engineSteps += r.EngineSteps
-	a.flowWalks += r.FlowWalks
-	a.settled += r.SettledBatches
-	a.settledSweeps += r.SettledSweeps
-	a.settledCharges += r.SettledCharges
+	t.Devices++
+	t.Consumed += r.Consumed
+	t.BusyTicks += r.BusyTicks
+	t.IdleTicks += r.IdleTicks
+	t.Polls += r.Polls
+	t.Pages += r.Pages
+	t.Activations += r.RadioActivations
+	t.PowerUps += r.PowerUps
+	t.SMSSent += r.SMSSent
+	t.Calls += r.CallsPlaced
+	t.Diagnostics.add(r.Diag)
+	t.Recharged += r.Recharged
+	t.Reclaimed += r.Reclaimed
 	if r.Died {
-		a.dead++
-		a.lives.Add(int64(r.DiedAt))
-	}
-	a.seen++
-
-	b := a.byName[r.Scenario]
-	if b == nil {
-		b = &bucketAgg{}
-		a.byName[r.Scenario] = b
-	}
-	b.devices++
-	b.consumed += r.Consumed
-	b.recharged += r.Recharged
-	b.reclaimed += r.Reclaimed
-	b.busyTicks += r.BusyTicks
-	b.idleTicks += r.IdleTicks
-	b.polls += r.Polls
-	b.pages += r.Pages
-	b.activations += r.RadioActivations
-	b.powerUps += r.PowerUps
-	b.sms += r.SMSSent
-	b.calls += r.CallsPlaced
-	b.steps += r.EngineSteps
-	b.flowWalks += r.FlowWalks
-	b.settled += r.SettledBatches
-	b.settledSweeps += r.SettledSweeps
-	b.settledCharges += r.SettledCharges
-	if r.Died {
-		b.dead++
-		b.lives.Add(int64(r.DiedAt))
+		t.Dead++
+		t.lives.Add(int64(r.DiedAt))
 	}
 }
 
-// merge folds another aggregate into this one. Every field is an
-// integer sum, a min/max, or a sketch merge — all associative — so any
-// shard grouping produces the identical aggregate.
-func (a *aggregate) merge(o *aggregate) {
-	if o.seen > 0 {
-		if a.seen == 0 || o.minConsumed < a.minConsumed {
-			a.minConsumed = o.minConsumed
-		}
-		if o.maxConsumed > a.maxConsumed {
-			a.maxConsumed = o.maxConsumed
-		}
+// merge folds another tally into this one.
+func (t *tally) merge(o *tally) {
+	if o.Devices > 0 && (t.Devices == 0 || o.MinConsumed < t.MinConsumed) {
+		t.MinConsumed = o.MinConsumed
 	}
-	a.seen += o.seen
-	a.totalConsumed += o.totalConsumed
-	a.recharged += o.recharged
-	a.reclaimed += o.reclaimed
-	a.busyTicks += o.busyTicks
-	a.idleTicks += o.idleTicks
-	a.polls += o.polls
-	a.activations += o.activations
-	a.powerUps += o.powerUps
-	a.engineSteps += o.engineSteps
-	a.flowWalks += o.flowWalks
-	a.settled += o.settled
-	a.settledSweeps += o.settledSweeps
-	a.settledCharges += o.settledCharges
-	a.dead += o.dead
-	a.lives.Merge(&o.lives)
-	for name, ob := range o.byName {
-		b := a.byName[name]
-		if b == nil {
-			b = &bucketAgg{}
-			a.byName[name] = b
-		}
-		b.devices += ob.devices
-		b.consumed += ob.consumed
-		b.recharged += ob.recharged
-		b.reclaimed += ob.reclaimed
-		b.busyTicks += ob.busyTicks
-		b.idleTicks += ob.idleTicks
-		b.polls += ob.polls
-		b.pages += ob.pages
-		b.activations += ob.activations
-		b.powerUps += ob.powerUps
-		b.sms += ob.sms
-		b.calls += ob.calls
-		b.steps += ob.steps
-		b.flowWalks += ob.flowWalks
-		b.settled += ob.settled
-		b.settledSweeps += ob.settledSweeps
-		b.settledCharges += ob.settledCharges
-		b.dead += ob.dead
-		b.lives.Merge(&ob.lives)
+	if o.MaxConsumed > t.MaxConsumed {
+		t.MaxConsumed = o.MaxConsumed
 	}
+	t.Devices += o.Devices
+	t.Consumed += o.Consumed
+	t.BusyTicks += o.BusyTicks
+	t.IdleTicks += o.IdleTicks
+	t.Polls += o.Polls
+	t.Pages += o.Pages
+	t.Activations += o.Activations
+	t.PowerUps += o.PowerUps
+	t.SMSSent += o.SMSSent
+	t.Calls += o.Calls
+	t.Diagnostics.add(o.Diagnostics)
+	t.Recharged += o.Recharged
+	t.Reclaimed += o.Reclaimed
+	t.Dead += o.Dead
+	t.lives.Merge(&o.lives)
+}
+
+// lifePercentiles reads p50/p90 time-to-exhaustion off the sketch (zero
+// when nothing died).
+func (t *tally) lifePercentiles() (p50, p90 units.Time) {
+	if t.Dead == 0 {
+		return 0, 0
+	}
+	return units.Time(t.lives.Quantile(50)), units.Time(t.lives.Quantile(90))
+}
+
+// bucket returns the named bucket's tally, creating it on first use.
+func (a aggregate) bucket(name string) *tally {
+	t := a[name]
+	if t == nil {
+		t = &tally{}
+		a[name] = t
+	}
+	return t
+}
+
+// add folds one device's result into its bucket's tally.
+func (a aggregate) add(r DeviceResult) { a.bucket(r.Scenario).add(r) }
+
+// merge folds another aggregate into this one, bucket by bucket.
+func (a aggregate) merge(o aggregate) {
+	for name, t := range o {
+		a.bucket(name).merge(t)
+	}
+}
+
+// names returns the bucket names in sorted (report) order.
+func (a aggregate) names() []string {
+	names := make([]string, 0, len(a))
+	for n := range a {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // utilizationPct converts tick sums to the busy percentage.
@@ -1330,70 +1283,59 @@ func utilizationPct(busy, idle int64) float64 {
 	return 100 * float64(busy) / float64(total)
 }
 
-// finish computes means, percentiles and the sorted bucket list.
-func (a *aggregate) finish(cfg Config, workers int) Report {
+// finish computes means, percentiles and the sorted bucket list; the
+// fleet-wide figures are the merge of every bucket's tally.
+func (a aggregate) finish(cfg Config, workers int) Report {
+	names := a.names()
 	rep := Report{
-		Scenario:            cfg.Scenario.Name(),
-		Devices:             cfg.Devices,
-		Seed:                cfg.Seed,
-		Duration:            cfg.Duration,
-		Workers:             workers,
-		TotalConsumed:       a.totalConsumed,
-		MinConsumed:         a.minConsumed,
-		MaxConsumed:         a.maxConsumed,
-		TotalRecharged:      a.recharged,
-		TotalReclaimed:      a.reclaimed,
-		MeanUtilization:     utilizationPct(a.busyTicks, a.idleTicks),
-		TotalPolls:          a.polls,
-		TotalActivations:    a.activations,
-		TotalPowerUps:       a.powerUps,
-		Dead:                a.dead,
-		TotalEngineSteps:    a.engineSteps,
-		TotalFlowWalks:      a.flowWalks,
-		TotalSettledBatches: a.settled,
-		TotalSettledSweeps:  a.settledSweeps,
-		TotalSettledCharges: a.settledCharges,
+		Scenario: cfg.Scenario.Name(),
+		Devices:  cfg.Devices,
+		Seed:     cfg.Seed,
+		Duration: cfg.Duration,
+		Workers:  workers,
+		Buckets:  make([]Bucket, 0, len(names)),
 	}
-	rep.MeanConsumed = rep.TotalConsumed / units.Energy(rep.Devices)
-	if a.dead > 0 {
-		rep.LifeP50 = units.Time(a.lives.Quantile(50))
-		rep.LifeP90 = units.Time(a.lives.Quantile(90))
-	}
-	names := make([]string, 0, len(a.byName))
-	for n := range a.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	rep.Buckets = make([]Bucket, 0, len(names))
+	var fleet tally
 	for _, n := range names {
-		b := a.byName[n]
+		t := a[n]
+		fleet.merge(t)
 		bk := Bucket{
 			Name:               n,
-			Devices:            b.devices,
-			TotalConsumed:      b.consumed,
-			MeanConsumed:       b.consumed / units.Energy(b.devices),
-			Recharged:          b.recharged,
-			Reclaimed:          b.reclaimed,
-			MeanUtilization:    utilizationPct(b.busyTicks, b.idleTicks),
-			Polls:              b.polls,
-			Pages:              b.pages,
-			Activations:        b.activations,
-			PowerUps:           b.powerUps,
-			SMSSent:            b.sms,
-			Calls:              b.calls,
-			MeanSteps:          b.steps / uint64(b.devices),
-			MeanFlowWalks:      b.flowWalks / int64(b.devices),
-			MeanSettledBatches: b.settled / int64(b.devices),
-			MeanSettledSweeps:  b.settledSweeps / int64(b.devices),
-			MeanSettledCharges: b.settledCharges / int64(b.devices),
-			Dead:               b.dead,
+			Devices:            t.Devices,
+			TotalConsumed:      t.Consumed,
+			MeanConsumed:       t.Consumed / units.Energy(t.Devices),
+			Recharged:          t.Recharged,
+			Reclaimed:          t.Reclaimed,
+			MeanUtilization:    utilizationPct(t.BusyTicks, t.IdleTicks),
+			Polls:              t.Polls,
+			Pages:              t.Pages,
+			Activations:        t.Activations,
+			PowerUps:           t.PowerUps,
+			SMSSent:            t.SMSSent,
+			Calls:              t.Calls,
+			MeanSteps:          t.EngineSteps / uint64(t.Devices),
+			MeanFlowWalks:      t.FlowWalks / int64(t.Devices),
+			MeanSettledBatches: t.SettledBatches / int64(t.Devices),
+			MeanSettledSweeps:  t.SettledSweeps / int64(t.Devices),
+			MeanSettledCharges: t.SettledCharges / int64(t.Devices),
+			Dead:               t.Dead,
 		}
-		if b.dead > 0 {
-			bk.LifeP50 = units.Time(b.lives.Quantile(50))
-			bk.LifeP90 = units.Time(b.lives.Quantile(90))
-		}
+		bk.LifeP50, bk.LifeP90 = t.lifePercentiles()
 		rep.Buckets = append(rep.Buckets, bk)
 	}
+	rep.TotalConsumed = fleet.Consumed
+	rep.MeanConsumed = fleet.Consumed / units.Energy(rep.Devices)
+	rep.MinConsumed = fleet.MinConsumed
+	rep.MaxConsumed = fleet.MaxConsumed
+	rep.TotalRecharged = fleet.Recharged
+	rep.TotalReclaimed = fleet.Reclaimed
+	rep.MeanUtilization = utilizationPct(fleet.BusyTicks, fleet.IdleTicks)
+	rep.TotalPolls = fleet.Polls
+	rep.TotalActivations = fleet.Activations
+	rep.TotalPowerUps = fleet.PowerUps
+	rep.Diag = fleet.Diagnostics
+	rep.Dead = fleet.Dead
+	rep.LifeP50, rep.LifeP90 = fleet.lifePercentiles()
 	return rep
 }
 

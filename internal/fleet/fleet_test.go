@@ -138,25 +138,19 @@ func TestFleetModeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// EngineSteps, FlowWalks, SettledBatches and SettledSweeps are the
-	// fields that legitimately differ between modes (they measure how
-	// many instants the engine visited and how flow batches and netd
-	// sweeps were advanced — precisely what next-event advancement and
-	// closed-form settlement reduce); instants must be *fewer* under
-	// next-event, and everything else identical.
+	// The diagnostics are what legitimately differs between modes (they
+	// measure how many instants the engine visited and how flow batches,
+	// netd sweeps and charger quanta were advanced — precisely what
+	// next-event advancement and closed-form settlement reduce);
+	// instants must be *fewer* under next-event, and everything else
+	// identical.
 	for i := range a.Results {
-		if b.Results[i].EngineSteps < a.Results[i].EngineSteps {
+		if b.Results[i].Diag.EngineSteps < a.Results[i].Diag.EngineSteps {
 			t.Fatalf("device %d: next-event executed more instants (%d) than fixed-tick (%d)",
-				i, a.Results[i].EngineSteps, b.Results[i].EngineSteps)
+				i, a.Results[i].Diag.EngineSteps, b.Results[i].Diag.EngineSteps)
 		}
-		a.Results[i].EngineSteps = 0
-		b.Results[i].EngineSteps = 0
-		a.Results[i].FlowWalks = 0
-		b.Results[i].FlowWalks = 0
-		a.Results[i].SettledBatches = 0
-		b.Results[i].SettledBatches = 0
-		a.Results[i].SettledSweeps = 0
-		b.Results[i].SettledSweeps = 0
+		a.Results[i].Diag = Diagnostics{}
+		b.Results[i].Diag = Diagnostics{}
 	}
 	if !reflect.DeepEqual(a.Results, b.Results) {
 		t.Fatalf("engine mode changed fleet results:\n%s\nvs\n%s", a.Format(), b.Format())

@@ -30,10 +30,10 @@ func (r Report) RunMetrics() RunMetrics {
 	days := r.Duration.Seconds() / 86400
 	m := RunMetrics{
 		DeviceDays:  days * float64(r.Devices),
-		EngineSteps: r.TotalEngineSteps,
+		EngineSteps: r.Diag.EngineSteps,
 	}
 	if m.DeviceDays > 0 {
-		m.InstantsPerDeviceDay = float64(r.TotalEngineSteps) / m.DeviceDays
+		m.InstantsPerDeviceDay = float64(r.Diag.EngineSteps) / m.DeviceDays
 	}
 	if len(r.Buckets) > 0 && days > 0 {
 		m.BucketInstantsPerDeviceDay = make(map[string]float64, len(r.Buckets))

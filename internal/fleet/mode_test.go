@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,10 +17,12 @@ import (
 // outside the process — a wire or journal job, a shard partial, an
 // epoch file — must be one of the three kernel modes, and a job or
 // partial written for the per-layer settle knobs this build dropped must
-// fail loudly instead of silently running closed form.
+// fail loudly instead of silently running closed form. So must a v2
+// partial, whose top-level agg block this build no longer reads.
 func TestModeFromOutsideIsValidated(t *testing.T) {
 	const job = `{"scenario":"poller","devices":2,"seed":1,"duration_ms":60000,"shards":1`
 	const partial = `{"format":"cinder-fleet-partial","scenario":"poller","devices":2,"seed":1,"duration_ms":60000`
+	current := fmt.Sprintf(`,"version":%d`, PartialVersion)
 	for _, tc := range []struct {
 		name  string
 		parse func() error
@@ -37,8 +40,12 @@ func TestModeFromOutsideIsValidated(t *testing.T) {
 			_, err := ParsePartial([]byte(partial + `,"version":1,"engine_mode":1,"settle_mode":0}`))
 			return err
 		}, "v1"},
+		{"v2 partial", func() error {
+			_, err := ParsePartial([]byte(partial + `,"version":2,"agg":{"seen":2,"engine_steps":9},"buckets":[]}`))
+			return err
+		}, "v2"},
 		{"unknown partial mode", func() error {
-			_, err := ParsePartial([]byte(partial + `,"version":2,"mode":"per-sweep"}`))
+			_, err := ParsePartial([]byte(partial + current + `,"mode":"per-sweep"}`))
 			return err
 		}, "unknown mode"},
 		{"out-of-range run mode", func() error {

@@ -14,16 +14,17 @@ import (
 // partitions the device index range deterministically into n contiguous
 // slices, each shard simulates its slice independently (its own
 // process, machine, or checkpoint directory) and emits a *partial*
-// report — the raw mergeable aggregate: integer sums, counts, and the
-// sparse form of the life-percentile quantile sketch. `-merge` combines
-// the partials and produces the same canonical JSON a single-process
-// run of the whole fleet emits, byte for byte, because every aggregate
-// field is associative: sums and counts add, min/max compose, and the
-// sketch merges by counter addition. No full-population array ever
-// exists on any machine.
+// report — its bucket tallies in wire form: integer sums, counts,
+// min/max, and the sparse form of the life-percentile quantile sketch.
+// `-merge` combines the partials and produces the same canonical JSON a
+// single-process run of the whole fleet emits, byte for byte, because
+// every tally field is associative: sums and counts add, min/max
+// compose, and the sketch merges by counter addition. Fleet totals are
+// derived from the merged bucket tallies, never carried separately. No
+// full-population array ever exists on any machine.
 
 // PartialVersion is the partial-report schema version.
-const PartialVersion = 2
+const PartialVersion = 3
 
 // Partial is one shard's mergeable report.
 type Partial struct {
@@ -44,54 +45,14 @@ type Partial struct {
 	RangeLo    int `json:"range_lo"`
 	RangeHi    int `json:"range_hi"`
 
-	Agg     partialAgg      `json:"agg"`
 	Buckets []partialBucket `json:"buckets"`
 }
 
-// partialAgg is the wire form of the shard's top-level aggregate.
-type partialAgg struct {
-	Seen            int        `json:"seen"`
-	TotalConsumedUJ int64      `json:"total_consumed_uj"`
-	MinConsumedUJ   int64      `json:"min_consumed_uj"`
-	MaxConsumedUJ   int64      `json:"max_consumed_uj"`
-	BusyTicks       int64      `json:"busy_ticks"`
-	IdleTicks       int64      `json:"idle_ticks"`
-	Polls           int64      `json:"polls"`
-	Activations     int64      `json:"radio_activations"`
-	PowerUps        int64      `json:"netd_power_ups"`
-	EngineSteps     uint64     `json:"engine_steps"`
-	FlowWalks       int64      `json:"flow_walks"`
-	SettledBatches  int64      `json:"settled_batches"`
-	SettledSweeps   int64      `json:"settled_sweeps"`
-	SettledCharges  int64      `json:"settled_charges,omitempty"`
-	RechargedUJ     int64      `json:"recharged_uj,omitempty"`
-	ReclaimedUJ     int64      `json:"reclaimed_uj,omitempty"`
-	Dead            int        `json:"dead"`
-	Lives           [][2]int64 `json:"lives,omitempty"`
-}
-
-// partialBucket is the wire form of one scenario bucket's aggregate.
+// partialBucket is the wire form of one bucket's tally.
 type partialBucket struct {
-	Name            string     `json:"name"`
-	Devices         int        `json:"devices"`
-	TotalConsumedUJ int64      `json:"total_consumed_uj"`
-	BusyTicks       int64      `json:"busy_ticks"`
-	IdleTicks       int64      `json:"idle_ticks"`
-	Polls           int64      `json:"polls"`
-	Pages           int64      `json:"pages"`
-	Activations     int64      `json:"radio_activations"`
-	PowerUps        int64      `json:"netd_power_ups"`
-	SMSSent         int64      `json:"sms_sent"`
-	Calls           int64      `json:"calls_placed"`
-	EngineSteps     uint64     `json:"engine_steps"`
-	FlowWalks       int64      `json:"flow_walks"`
-	SettledBatches  int64      `json:"settled_batches"`
-	SettledSweeps   int64      `json:"settled_sweeps"`
-	SettledCharges  int64      `json:"settled_charges,omitempty"`
-	RechargedUJ     int64      `json:"recharged_uj,omitempty"`
-	ReclaimedUJ     int64      `json:"reclaimed_uj,omitempty"`
-	Dead            int        `json:"dead"`
-	Lives           [][2]int64 `json:"lives,omitempty"`
+	Name string `json:"name"`
+	tally
+	Lives [][2]int64 `json:"lives,omitempty"`
 }
 
 // RunShard simulates one shard of the fleet (cfg.ShardIndex of
@@ -106,7 +67,7 @@ func RunShard(cfg Config) (*Partial, error) {
 	if cfg.ShardCount <= 0 {
 		return nil, fmt.Errorf("fleet: RunShard needs ShardCount > 0")
 	}
-	agg := newAggregate()
+	agg := aggregate{}
 	if err := runRange(cfg, workers, agg); err != nil {
 		return nil, err
 	}
@@ -114,7 +75,7 @@ func RunShard(cfg Config) (*Partial, error) {
 }
 
 // packPartial converts an aggregate into its wire form.
-func packPartial(cfg Config, a *aggregate) *Partial {
+func packPartial(cfg Config, a aggregate) *Partial {
 	lo, hi := cfg.shardRange()
 	p := &Partial{
 		Format:           "cinder-fleet-partial",
@@ -130,56 +91,10 @@ func packPartial(cfg Config, a *aggregate) *Partial {
 		ShardCount:       cfg.ShardCount,
 		RangeLo:          lo,
 		RangeHi:          hi,
-		Agg: partialAgg{
-			Seen:            a.seen,
-			TotalConsumedUJ: int64(a.totalConsumed),
-			MinConsumedUJ:   int64(a.minConsumed),
-			MaxConsumedUJ:   int64(a.maxConsumed),
-			BusyTicks:       a.busyTicks,
-			IdleTicks:       a.idleTicks,
-			Polls:           a.polls,
-			Activations:     a.activations,
-			PowerUps:        a.powerUps,
-			EngineSteps:     a.engineSteps,
-			FlowWalks:       a.flowWalks,
-			SettledBatches:  a.settled,
-			SettledSweeps:   a.settledSweeps,
-			SettledCharges:  a.settledCharges,
-			RechargedUJ:     int64(a.recharged),
-			ReclaimedUJ:     int64(a.reclaimed),
-			Dead:            a.dead,
-			Lives:           sparseLives(&a.lives),
-		},
 	}
-	names := make([]string, 0, len(a.byName))
-	for n := range a.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		b := a.byName[n]
-		p.Buckets = append(p.Buckets, partialBucket{
-			Name:            n,
-			Devices:         b.devices,
-			TotalConsumedUJ: int64(b.consumed),
-			BusyTicks:       b.busyTicks,
-			IdleTicks:       b.idleTicks,
-			Polls:           b.polls,
-			Pages:           b.pages,
-			Activations:     b.activations,
-			PowerUps:        b.powerUps,
-			SMSSent:         b.sms,
-			Calls:           b.calls,
-			EngineSteps:     b.steps,
-			FlowWalks:       b.flowWalks,
-			SettledBatches:  b.settled,
-			SettledSweeps:   b.settledSweeps,
-			SettledCharges:  b.settledCharges,
-			RechargedUJ:     int64(b.recharged),
-			ReclaimedUJ:     int64(b.reclaimed),
-			Dead:            b.dead,
-			Lives:           sparseLives(&b.lives),
-		})
+	for _, n := range a.names() {
+		t := a[n]
+		p.Buckets = append(p.Buckets, partialBucket{Name: n, tally: *t, Lives: sparseLives(&t.lives)})
 	}
 	return p
 }
@@ -198,7 +113,8 @@ func (p *Partial) JSON() ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
 }
 
-// ParsePartial deserializes and sanity-checks a partial report.
+// ParsePartial deserializes and sanity-checks a partial report: the
+// format and version, and that its bucket tallies unpack (see unpack).
 func ParsePartial(b []byte) (*Partial, error) {
 	var p Partial
 	if err := json.Unmarshal(b, &p); err != nil {
@@ -210,59 +126,40 @@ func ParsePartial(b []byte) (*Partial, error) {
 	if p.Version != PartialVersion {
 		return nil, fmt.Errorf("fleet: partial report v%d, this build reads v%d", p.Version, PartialVersion)
 	}
+	if _, err := p.unpack(); err != nil {
+		return nil, err
+	}
 	return &p, nil
 }
 
-// unpack converts a partial's wire form back into an aggregate.
-func (p *Partial) unpack() *aggregate {
-	a := newAggregate()
-	a.seen = p.Agg.Seen
-	a.totalConsumed = units.Energy(p.Agg.TotalConsumedUJ)
-	a.minConsumed = units.Energy(p.Agg.MinConsumedUJ)
-	a.maxConsumed = units.Energy(p.Agg.MaxConsumedUJ)
-	a.busyTicks = p.Agg.BusyTicks
-	a.idleTicks = p.Agg.IdleTicks
-	a.polls = p.Agg.Polls
-	a.activations = p.Agg.Activations
-	a.powerUps = p.Agg.PowerUps
-	a.engineSteps = p.Agg.EngineSteps
-	a.flowWalks = p.Agg.FlowWalks
-	a.settled = p.Agg.SettledBatches
-	a.settledSweeps = p.Agg.SettledSweeps
-	a.settledCharges = p.Agg.SettledCharges
-	a.recharged = units.Energy(p.Agg.RechargedUJ)
-	a.reclaimed = units.Energy(p.Agg.ReclaimedUJ)
-	a.dead = p.Agg.Dead
-	for _, pair := range p.Agg.Lives {
-		a.lives.AddBucket(int(pair[0]), uint64(pair[1]))
-	}
+// unpack converts a partial's wire form back into an aggregate. A
+// bucket listed twice, a bucket without devices, or bucket device
+// counts that do not sum to the shard's range is a loud error: the
+// merged report would otherwise disagree with itself.
+func (p *Partial) unpack() (aggregate, error) {
+	a := aggregate{}
+	devices := 0
 	for _, pb := range p.Buckets {
-		b := &bucketAgg{
-			devices:        pb.Devices,
-			consumed:       units.Energy(pb.TotalConsumedUJ),
-			busyTicks:      pb.BusyTicks,
-			idleTicks:      pb.IdleTicks,
-			polls:          pb.Polls,
-			pages:          pb.Pages,
-			activations:    pb.Activations,
-			powerUps:       pb.PowerUps,
-			sms:            pb.SMSSent,
-			calls:          pb.Calls,
-			steps:          pb.EngineSteps,
-			flowWalks:      pb.FlowWalks,
-			settled:        pb.SettledBatches,
-			settledSweeps:  pb.SettledSweeps,
-			settledCharges: pb.SettledCharges,
-			recharged:      units.Energy(pb.RechargedUJ),
-			reclaimed:      units.Energy(pb.ReclaimedUJ),
-			dead:           pb.Dead,
+		switch {
+		case a[pb.Name] != nil:
+			return nil, fmt.Errorf("fleet: partial %d/%d lists bucket %q twice",
+				p.ShardIndex, p.ShardCount, pb.Name)
+		case pb.Devices <= 0:
+			return nil, fmt.Errorf("fleet: partial %d/%d bucket %q holds %d devices",
+				p.ShardIndex, p.ShardCount, pb.Name, pb.Devices)
 		}
+		t := pb.tally
 		for _, pair := range pb.Lives {
-			b.lives.AddBucket(int(pair[0]), uint64(pair[1]))
+			t.lives.AddBucket(int(pair[0]), uint64(pair[1]))
 		}
-		a.byName[pb.Name] = b
+		a[pb.Name] = &t
+		devices += t.Devices
 	}
-	return a
+	if devices != p.RangeHi-p.RangeLo {
+		return nil, fmt.Errorf("fleet: partial %d/%d buckets hold %d devices for range [%d,%d)",
+			p.ShardIndex, p.ShardCount, devices, p.RangeLo, p.RangeHi)
+	}
+	return a, nil
 }
 
 // Merge combines every shard's partial report into the full fleet
@@ -287,7 +184,7 @@ func Merge(parts []*Partial, scenario Scenario) (Report, error) {
 	copy(sorted, parts)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].RangeLo < sorted[j].RangeLo })
 
-	agg := newAggregate()
+	agg := aggregate{}
 	covered := 0
 	for _, p := range sorted {
 		switch {
@@ -301,12 +198,13 @@ func Merge(parts []*Partial, scenario Scenario) (Report, error) {
 		case p.RangeLo != covered:
 			return Report{}, fmt.Errorf("fleet: shard coverage gap or overlap at device %d (next shard starts at %d)",
 				covered, p.RangeLo)
-		case p.Agg.Seen != p.RangeHi-p.RangeLo:
-			return Report{}, fmt.Errorf("fleet: shard %d/%d saw %d devices for range [%d,%d)",
-				p.ShardIndex, p.ShardCount, p.Agg.Seen, p.RangeLo, p.RangeHi)
+		}
+		a, err := p.unpack()
+		if err != nil {
+			return Report{}, err
 		}
 		covered = p.RangeHi
-		agg.merge(p.unpack())
+		agg.merge(a)
 	}
 	if covered != ref.Devices {
 		return Report{}, fmt.Errorf("fleet: shards cover %d of %d devices", covered, ref.Devices)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -95,8 +96,8 @@ func TestShardRangesPartition(t *testing.T) {
 	}
 }
 
-// TestMergeValidation: gaps, duplicates, and identity drift must be
-// loud errors.
+// TestMergeValidation: gaps, duplicates, identity drift and bucket
+// tallies that do not tile a partial's range must be loud errors.
 func TestMergeValidation(t *testing.T) {
 	cfg := shardBase(30)
 	mk := func(i, n int) *Partial {
@@ -129,6 +130,37 @@ func TestMergeValidation(t *testing.T) {
 	}
 	if _, err := Merge(nil, cfg.Scenario); err == nil {
 		t.Fatal("empty merge succeeded")
+	}
+
+	// A partial whose bucket tallies disagree with its own range is
+	// refused by ParsePartial (the gate -merge, delivery and journal
+	// recovery share) and by Merge, naming the bucket, instead of
+	// merging into a report whose totals disagree with its buckets.
+	if len(p0.Buckets) < 2 {
+		t.Fatalf("want ≥ 2 buckets in shard 0, got %d", len(p0.Buckets))
+	}
+	first := p0.Buckets[0].Name
+	for _, tc := range []struct {
+		spoil func(p *Partial)
+		want  string
+	}{
+		{func(p *Partial) { p.Buckets[1].Name = first }, fmt.Sprintf("lists bucket %q twice", first)},
+		{func(p *Partial) { p.Buckets[0].Devices = 0 }, fmt.Sprintf("bucket %q holds 0 devices", first)},
+		{func(p *Partial) { p.Buckets[0].Devices++ }, "buckets hold 11 devices for range [0,10)"},
+	} {
+		bad := *p0
+		bad.Buckets = append([]partialBucket(nil), p0.Buckets...)
+		tc.spoil(&bad)
+		b, err := bad.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParsePartial(b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParsePartial got %v, want an error containing %q", err, tc.want)
+		}
+		if _, err := Merge([]*Partial{&bad, p1, p2}, cfg.Scenario); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Merge got %v, want an error containing %q", err, tc.want)
+		}
 	}
 }
 
