@@ -52,7 +52,6 @@ func realMain() int {
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = one per CPU)")
 		batteryJ  = flag.Float64("battery-j", 0, "override battery capacity in joules (0 = profile default)")
 		perDevice = flag.Bool("per-device", false, "also print one line per device (with -json: include per-device results)")
-		noRecycle = flag.Bool("no-recycle", false, "construct every device from scratch instead of recycling worker machinery (A/B timing)")
 		jsonOut   = flag.Bool("json", false, "emit the deterministic JSON report (docs/fleet-report.md) instead of text")
 		canonOut  = flag.Bool("canonical", false, "with -json: zero the engine diagnostics (engine_steps, flow_walks, settled_batches, settled_sweeps, settled_charges) — the form that is byte-identical across -mode values and checkpoint/resume")
 		sweep     = flag.String("sweep", "", "sweep mode, e.g. battery-j=15000,30000,60000: run the fleet once per value")
@@ -136,7 +135,6 @@ func realMain() int {
 		// Per-device output needs the result array retained; otherwise
 		// the run streams results and stays O(workers + buckets).
 		KeepResults:     *perDevice,
-		NoRecycle:       *noRecycle,
 		Mode:            mode,
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: units.Time(ckptEvery.Milliseconds()),
@@ -159,8 +157,6 @@ func realMain() int {
 			return fail(fmt.Errorf("-shards manages resumption itself (lost shards are re-leased with resume); drop -resume"))
 		case *perDevice || *perDevOut != "":
 			return fail(fmt.Errorf("per-device output needs the single-process path: shard partials do not carry per-device results"))
-		case *noRecycle:
-			return fail(fmt.Errorf("-no-recycle is a single-process A/B knob; jobs do not carry it"))
 		}
 		if err := runLocalCoord(cfg, shards, *runnersN, *jsonOut, *canonOut, *progress, *outPath); err != nil {
 			return fail(err)

@@ -562,10 +562,6 @@ func (g *Graph) TotalHeld() units.Energy {
 	return sum
 }
 
-// Recharged returns the total external energy accepted into the battery
-// through ChargeBattery since the graph was created.
-func (g *Graph) Recharged() units.Energy { return g.recharged }
-
 // ChargeBattery credits up to amount of external energy (a wall or USB
 // charger) into the battery, clamping at the rated capacity: a full
 // battery accepts nothing, and the battery level never overshoots. It

@@ -16,9 +16,11 @@ import (
 	"repro/internal/units"
 )
 
-// This file implements checkpoint/resume for fleet runs. A checkpointed
-// run proceeds epoch by epoch (default: one simulated day). Every pass
-// runs the whole device range through the worker pool; at a non-final
+// This file implements the fleet's pass loop and checkpoint/resume. A
+// checkpointed run proceeds epoch by epoch (default: one simulated day);
+// an uncheckpointed run is the same loop over a one-epoch plan, whose
+// only pass reads no epoch file and writes none. Every pass runs the
+// whole device range through the worker pool; at a non-final
 // boundary each surviving device serializes its complete state — engine
 // clock and schedules, RNG position, object census, reserve levels, tap
 // carries, scheduler accounting, radio/netd/baseband state, workload
@@ -39,9 +41,6 @@ import (
 // DefaultCheckpointEvery is the epoch length: one simulated day, the
 // boundary the week-in-the-life scenario quiesces at.
 const DefaultCheckpointEvery = 24 * units.Hour
-
-// epochMagic heads an epoch file.
-const epochMagic = "CNDEPOCH1"
 
 // Epoch record kinds.
 const (
@@ -215,7 +214,12 @@ type epochPlan struct {
 	count int
 }
 
+// planEpochs partitions the horizon at the checkpoint interval; an
+// uncheckpointed run is one epoch spanning the whole horizon.
 func planEpochs(cfg Config) epochPlan {
+	if cfg.CheckpointDir == "" {
+		return epochPlan{every: cfg.Duration, count: 1}
+	}
 	every := cfg.CheckpointEvery
 	if every <= 0 {
 		every = DefaultCheckpointEvery
@@ -258,7 +262,6 @@ func writeEpochHeader(w *snap.Writer, cfg Config, plan epochPlan, e, lo, hi int)
 	w.U64(uint64(lo))
 	w.U64(uint64(hi))
 	w.I64(int64(cfg.BatteryCapacity))
-	w.I64(int64(cfg.LifeResolution))
 	w.String(cfg.Mode.String())
 }
 
@@ -273,7 +276,6 @@ func checkEpochHeader(r *snap.Reader, cfg Config, plan epochPlan, e, lo, hi int)
 	flo := int(r.U64())
 	fhi := int(r.U64())
 	battery := units.Energy(r.I64())
-	lifeRes := units.Time(r.I64())
 	modeName := r.String()
 	if err := r.Err(); err != nil {
 		return err
@@ -296,8 +298,6 @@ func checkEpochHeader(r *snap.Reader, cfg Config, plan epochPlan, e, lo, hi int)
 		return fmt.Errorf("fleet: epoch file covers devices [%d,%d), run covers [%d,%d)", flo, fhi, lo, hi)
 	case battery != cfg.BatteryCapacity:
 		return fmt.Errorf("fleet: epoch file battery override %v, run has %v", battery, cfg.BatteryCapacity)
-	case lifeRes != cfg.LifeResolution:
-		return fmt.Errorf("fleet: epoch file life resolution %v, run has %v", lifeRes, cfg.LifeResolution)
 	case mode != cfg.Mode:
 		return fmt.Errorf("fleet: epoch file mode %v, run has %v", mode, cfg.Mode)
 	}
@@ -384,31 +384,41 @@ type epochReader struct {
 	next int
 }
 
+// openEpochReader opens epoch e's file for the pass that resumes from
+// it, positioned at device lo's record.
 func openEpochReader(cfg Config, plan epochPlan, e, lo, hi int) (*epochReader, error) {
-	f, err := os.Open(epochPath(cfg, e))
+	path := epochPath(cfg, e)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	er := &epochReader{f: f, br: bufio.NewReaderSize(f, 1<<20), next: lo}
+	if err := er.header(cfg, plan, e, lo, hi); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("fleet: %s: %w", path, err)
+	}
+	return er, nil
+}
+
+// header reads an epoch file's leading frame: it must be the header
+// (kind 0), a sound snapshot, and carry this run's identity. An identity
+// mismatch wraps errEpochMismatch.
+func (er *epochReader) header(cfg Config, plan epochPlan, e, lo, hi int) error {
 	kind, blob, err := er.readFrame()
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleet: %s: %w", epochPath(cfg, e), err)
+		return fmt.Errorf("epoch header frame: %w", err)
 	}
 	if kind != 0 {
-		f.Close()
-		return nil, fmt.Errorf("fleet: %s: missing epoch header", epochPath(cfg, e))
+		return fmt.Errorf("missing epoch header (leading frame kind %d)", kind)
 	}
 	hr, err := snap.Open(blob)
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fleet: %s: %w", epochPath(cfg, e), err)
+		return fmt.Errorf("epoch header: %w", err)
 	}
 	if err := checkEpochHeader(hr, cfg, plan, e, lo, hi); err != nil {
-		f.Close()
-		return nil, err
+		return fmt.Errorf("%w: %v", errEpochMismatch, err)
 	}
-	return er, nil
+	return nil
 }
 
 func (er *epochReader) readFrame() (kind int, blob []byte, err error) {
@@ -457,26 +467,14 @@ var errEpochMismatch = errors.New("fleet: epoch file belongs to a different run"
 // makes complete files the common case, but salvage exists precisely
 // for the storage failures that break that assumption.
 func verifyEpoch(cfg Config, plan epochPlan, e, lo, hi int) error {
-	path := epochPath(cfg, e)
-	f, err := os.Open(path)
+	f, err := os.Open(epochPath(cfg, e))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	er := &epochReader{f: f, br: bufio.NewReaderSize(f, 1<<20), next: lo}
-	kind, blob, err := er.readFrame()
-	if err != nil {
-		return fmt.Errorf("epoch header frame: %w", err)
-	}
-	if kind != 0 {
-		return fmt.Errorf("missing epoch header (leading frame kind %d)", kind)
-	}
-	hr, err := snap.Open(blob)
-	if err != nil {
-		return fmt.Errorf("epoch header: %w", err)
-	}
-	if err := checkEpochHeader(hr, cfg, plan, e, lo, hi); err != nil {
-		return fmt.Errorf("%w: %v", errEpochMismatch, err)
+	if err := er.header(cfg, plan, e, lo, hi); err != nil {
+		return err
 	}
 	for idx := lo; idx < hi; idx++ {
 		kind, blob, err := er.readFrame()
@@ -529,7 +527,9 @@ func blobKind(blob []byte) (string, error) {
 	return r.String(), r.Err()
 }
 
-// runEpochs is the checkpointed run path (see the file comment).
+// runEpochs simulates the config's device range into the aggregate —
+// the one pass loop Run, RunShard and every coordinator-dispatched
+// ShardRun share (see the file comment).
 func runEpochs(cfg Config, workers int, agg aggregate) error {
 	lo, hi := cfg.shardRange()
 	plan := planEpochs(cfg)
@@ -576,13 +576,12 @@ func runEpochs(cfg Config, workers int, agg aggregate) error {
 
 	m := newMeter(&cfg, lo, hi, plan.count)
 	for e := start; e < plan.count; e++ {
-		endT := plan.end(cfg, e)
 		final := e == plan.count-1
 		passStart := units.Time(0)
 		if e > 0 {
 			passStart = plan.end(cfg, e-1)
 		}
-		m.pass(e, passStart, endT)
+		m.pass(e, passStart, plan.end(cfg, e))
 
 		var in *epochReader
 		if e > 0 {
@@ -609,43 +608,11 @@ func runEpochs(cfg Config, workers int, agg aggregate) error {
 			feed = in.read
 		}
 		work := func(idx int, blob []byte, rg *rig) outcome {
-			if e > 0 {
-				if blob == nil {
-					return outcome{err: fmt.Errorf("missing epoch %d snapshot", e-1)}
-				}
-				kind, err := blobKind(blob)
-				if err != nil {
-					return outcome{err: err}
-				}
-				if kind == "fleet-result" {
-					// Died in an earlier epoch: pass the final result
-					// through (and decode it on the aggregating pass).
-					if final {
-						res, err := decodeResult(blob)
-						return outcome{res: res, err: err}
-					}
-					return outcome{blob: blob, kind: recResult}
-				}
-				d, res, err := buildDevice(cfg, idx, rg)
-				if err != nil {
-					return outcome{err: err}
-				}
-				if err := restoreDevice(d, blob); err != nil {
-					return outcome{err: err}
-				}
-				d.Kernel.ResumeRun(endT)
-				return concludeEpoch(d, res, final)
-			}
-			d, res, err := buildDevice(cfg, idx, rg)
-			if err != nil {
-				return outcome{err: err}
-			}
-			d.Kernel.Run(endT)
-			return concludeEpoch(d, res, final)
+			return simulate(cfg, plan, e, idx, blob, rg)
 		}
 		reduce := func(idx int, o outcome) error {
 			if final {
-				if err := accept(&cfg, agg, o.res); err != nil {
+				if err := accept(&cfg, agg, *o.res); err != nil {
 					return err
 				}
 				return m.device()
@@ -678,13 +645,61 @@ func runEpochs(cfg Config, workers int, agg aggregate) error {
 	return nil
 }
 
+// simulate is the one device path: it advances device idx through epoch
+// e of the plan on rig rg. Epoch 0 builds the device and runs it from
+// t = 0; later epochs rebuild it and overlay blob, its record from epoch
+// e−1, unless that record is a dead device's final result.
+func simulate(cfg Config, plan epochPlan, e, idx int, blob []byte, rg *rig) outcome {
+	final := e == plan.count-1
+	if e > 0 {
+		if o, done := passThrough(blob, e, final); done {
+			return o
+		}
+	}
+	d, res, err := buildDevice(cfg, idx, rg)
+	if err != nil {
+		return outcome{err: err}
+	}
+	if e == 0 {
+		d.Kernel.Run(plan.end(cfg, e))
+	} else {
+		if err := restoreDevice(d, blob); err != nil {
+			return outcome{err: err}
+		}
+		d.Kernel.ResumeRun(plan.end(cfg, e))
+	}
+	return concludeEpoch(d, res, final)
+}
+
+// passThrough settles a carried record that needs no simulation: a
+// missing record is an error, and a device that died in an earlier
+// epoch passes its final result through (decoded on the aggregating
+// pass). done is false for a live device's snapshot. Keeping this out
+// of simulate keeps the device path's stack frame small.
+func passThrough(blob []byte, e int, final bool) (o outcome, done bool) {
+	if blob == nil {
+		return outcome{err: fmt.Errorf("missing epoch %d snapshot", e-1)}, true
+	}
+	kind, err := blobKind(blob)
+	switch {
+	case err != nil:
+		return outcome{err: err}, true
+	case kind != "fleet-result":
+		return outcome{}, false
+	case final:
+		res, err := decodeResult(blob)
+		return outcome{res: &res, err: err}, true
+	}
+	return outcome{blob: blob, kind: recResult}, true
+}
+
 // concludeEpoch finishes a device's epoch: dead or final-epoch devices
 // extract their result; survivors snapshot for the next epoch.
 func concludeEpoch(d *Device, res *DeviceResult, final bool) outcome {
 	if res.Died || final {
 		extractResult(d, res)
 		if final {
-			return outcome{res: *res}
+			return outcome{res: res}
 		}
 		blob, err := encodeResult(*res)
 		return outcome{blob: blob, kind: recResult, err: err}

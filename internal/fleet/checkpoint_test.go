@@ -141,8 +141,7 @@ func TestResumeWithoutCheckpointsFails(t *testing.T) {
 // must produce a descriptive error — never a silently wrong device.
 func TestSnapshotCorruptionFailsLoudly(t *testing.T) {
 	cfg := weekCfg(t, 1, "")
-	var rg rig
-	d, _, err := buildDevice(cfg, 0, &rg)
+	d, _, err := buildDevice(cfg, 0, new(rig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +152,7 @@ func TestSnapshotCorruptionFailsLoudly(t *testing.T) {
 	}
 
 	rebuild := func() *Device {
-		var rg2 rig
-		d2, _, err := buildDevice(cfg, 0, &rg2)
+		d2, _, err := buildDevice(cfg, 0, new(rig))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,8 +192,7 @@ func TestSnapshotCorruptionFailsLoudly(t *testing.T) {
 // device with a different index/seed.
 func TestRestoreOntoWrongDeviceFails(t *testing.T) {
 	cfg := weekCfg(t, 2, "")
-	var rg rig
-	d0, _, err := buildDevice(cfg, 0, &rg)
+	d0, _, err := buildDevice(cfg, 0, new(rig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +201,7 @@ func TestRestoreOntoWrongDeviceFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rg1 rig
-	d1, _, err := buildDevice(cfg, 1, &rg1)
+	d1, _, err := buildDevice(cfg, 1, new(rig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +228,7 @@ func TestCheckpointRefusesNonQuietBoundary(t *testing.T) {
 				Start: 30 * units.Minute, Duration: 90 * units.Minute},
 		}},
 	}
-	var rg rig
-	d, _, err := buildDevice(cfg, 0, &rg)
+	d, _, err := buildDevice(cfg, 0, new(rig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +237,7 @@ func TestCheckpointRefusesNonQuietBoundary(t *testing.T) {
 	if serr != nil {
 		return // refused at snapshot time: loud and fine
 	}
-	var rg2 rig
-	d2, _, err := buildDevice(cfg, 0, &rg2)
+	d2, _, err := buildDevice(cfg, 0, new(rig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +350,7 @@ func TestSnapshotMidNetdWaitFails(t *testing.T) {
 				Start: 0, Duration: units.Hour},
 		}},
 	}
-	var rg rig
-	d, _, err := buildDevice(cfg, 0, &rg)
+	d, _, err := buildDevice(cfg, 0, new(rig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,8 +389,7 @@ func TestSnapshotQuietNetdRoundTrips(t *testing.T) {
 				Start: 50 * units.Minute, Duration: 30 * units.Minute},
 		}},
 	}
-	var rg rig
-	d, _, err := buildDevice(cfg, 0, &rg)
+	d, _, err := buildDevice(cfg, 0, new(rig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,8 +405,7 @@ func TestSnapshotQuietNetdRoundTrips(t *testing.T) {
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	var rg2 rig
-	d2, _, err := buildDevice(cfg, 0, &rg2)
+	d2, _, err := buildDevice(cfg, 0, new(rig))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,10 @@ import (
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // DefaultLifeResolution is how often a device checks its battery for
-// exhaustion (and stops simulating once dead).
+// exhaustion (and stops simulating once dead), and the horizon the
+// battery must sustain at baseline draw for the device to count as
+// alive (kernel.BatteryExhaustedFor explains why one batch is too
+// short).
 const DefaultLifeResolution = units.Second
 
 // Device is one member of the fleet: a fully assembled simulated phone.
@@ -245,8 +248,6 @@ type Config struct {
 	// BatteryCapacity overrides the profile battery on every device
 	// (and any Provisioner draw).
 	BatteryCapacity units.Energy
-	// LifeResolution overrides DefaultLifeResolution.
-	LifeResolution units.Time
 	// Mode selects how every device's simulation advances time
 	// (kernel.Mode; default ClosedForm). Reports are canonically
 	// byte-identical in every mode; PerBatch and FixedTick exist as the
@@ -257,11 +258,6 @@ type Config struct {
 	// aggregate and drops it, so fleet memory stays O(workers + buckets)
 	// regardless of size. Turn it on for per-device output.
 	KeepResults bool
-	// NoRecycle constructs every device from scratch instead of
-	// recycling each worker's kernel/radio/netd machinery. It exists for
-	// A/B benchmarks and the recycling-equivalence tests; reports are
-	// byte-identical either way.
-	NoRecycle bool
 
 	// PerDevice, when set, streams every completed device's result out
 	// of the reduction frontier, in strict device-index order, without
@@ -735,12 +731,6 @@ func (cfg *Config) validate() (workers int, err error) {
 	if cfg.Duration <= 0 {
 		return 0, fmt.Errorf("fleet: non-positive duration %v", cfg.Duration)
 	}
-	if cfg.LifeResolution == 0 {
-		cfg.LifeResolution = DefaultLifeResolution
-	}
-	if cfg.LifeResolution < 0 {
-		return 0, fmt.Errorf("fleet: negative life resolution %v", cfg.LifeResolution)
-	}
 	if !cfg.Mode.Valid() {
 		return 0, fmt.Errorf("fleet: invalid mode %v", cfg.Mode)
 	}
@@ -777,7 +767,7 @@ func (cfg Config) shardRange() (lo, hi int) {
 // Run simulates the fleet and returns the aggregate report. With
 // Config.CheckpointDir set the run proceeds epoch by epoch, writing a
 // resumable snapshot of every device at each boundary (checkpoint.go);
-// otherwise each device runs its whole horizon in one pass.
+// otherwise the plan is a single epoch covering the whole horizon.
 //
 // Devices are dispatched to the worker pool through a bounded admission
 // window and their results are reduced strictly in index order as they
@@ -806,23 +796,12 @@ func Run(cfg Config) (Report, error) {
 		}
 	}
 	agg := aggregate{}
-	if err := runRange(cfg, workers, agg); err != nil {
+	if err := runEpochs(cfg, workers, agg); err != nil {
 		return Report{}, err
 	}
 	rep := agg.finish(cfg, workers)
 	rep.Results = results
 	return rep, nil
-}
-
-// runRange simulates the config's device range into the aggregate —
-// the code path Run, RunShard, and every coordinator-dispatched
-// ShardRun share. With a checkpoint dir the range proceeds epoch by
-// epoch; otherwise each device runs its whole horizon in one pass.
-func runRange(cfg Config, workers int, agg aggregate) error {
-	if cfg.CheckpointDir != "" {
-		return runEpochs(cfg, workers, agg)
-	}
-	return runWhole(cfg, workers, agg)
 }
 
 // accept folds one final device result into the aggregate and streams
@@ -835,35 +814,13 @@ func accept(cfg *Config, agg aggregate, res DeviceResult) error {
 	return cfg.PerDevice(res)
 }
 
-// runWhole is the single-pass path: every device simulates its full
-// horizon in one go.
-func runWhole(cfg Config, workers int, agg aggregate) error {
-	lo, hi := cfg.shardRange()
-	m := newMeter(&cfg, lo, hi, 1)
-	m.pass(0, 0, cfg.Duration)
-	return pass(cfg, workers, lo, hi, nil,
-		func(idx int, _ []byte, rg *rig) outcome {
-			d, res, err := buildDevice(cfg, idx, rg)
-			if err != nil {
-				return outcome{err: err}
-			}
-			d.Kernel.Run(cfg.Duration)
-			extractResult(d, res)
-			return outcome{res: *res}
-		},
-		func(_ int, o outcome) error {
-			if err := accept(&cfg, agg, o.res); err != nil {
-				return err
-			}
-			return m.device()
-		})
-}
-
 // outcome is one device's product from a pass: a final result, or (on
 // checkpointing passes) a snapshot-or-result blob, classified by kind,
-// to carry into the next epoch.
+// to carry into the next epoch. The result travels by pointer (the one
+// buildDevice allocated for the battery watch) to keep the ring slots
+// and the device path's stack frames small.
 type outcome struct {
-	res  DeviceResult
+	res  *DeviceResult
 	blob []byte
 	kind int
 	err  error
@@ -1004,16 +961,39 @@ type rig struct {
 	dev *Device
 }
 
-// buildDevice assembles one fleet member — recycled rig machinery, the
+// reset puts the rig's machinery through the one construction sequence
+// every device goes through, the first included: kernel, then radio
+// (and its funding reserve), then netd. A zero rig allocates its
+// machinery here on first use — after the first device's provisioning,
+// so a worker's start-up stays cheap — and nothing the allocation
+// leaves behind survives the Reset calls.
+func (rg *rig) reset(kcfg kernel.Config) error {
+	if rg.k == nil {
+		k := kernel.New(kernel.Config{})
+		*rg = rig{
+			k:   k,
+			r:   radio.New(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile}),
+			n:   new(netd.Netd),
+			dev: new(Device),
+		}
+	}
+	k := rg.k
+	k.Reset(kcfg)
+	rg.r.Reset(k.Eng, k.Graph, k.Root, k.KernelPriv(), radio.Config{Profile: k.Profile})
+	k.AddDevice(rg.r)
+	return rg.n.Reset(k, rg.r, netd.Config{Cooperative: true, QuiescentSweep: true, NoPoolTrace: true})
+}
+
+// buildDevice assembles one fleet member — reset rig machinery, the
 // scenario's workloads, and the battery watch — leaving it ready to
 // run (or to overlay a checkpoint snapshot). The returned DeviceResult
 // is wired into the battery watch; extractResult completes it after
 // the simulation.
 //
-// The recycled construction sequence is identical to the fresh one —
-// kernel, then radio (and its funding reserve), then netd — so object
-// IDs, seeds and every downstream result are byte-identical; the
-// equivalence tests assert it.
+// Every device goes through the same rig.reset sequence, so object
+// IDs, seeds and every downstream result depend only on the device,
+// never on what the rig simulated before; the recycling-equivalence
+// test asserts it against a fresh rig per device.
 func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 	seed := DeriveSeed(cfg.Seed, idx)
 	kcfg := kernel.Config{
@@ -1036,29 +1016,8 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 		}
 		kcfg.StrictHoarding = prov.StrictHoarding
 	}
-	ncfg := netd.Config{Cooperative: true, QuiescentSweep: true, NoPoolTrace: true}
-	if cfg.NoRecycle {
-		*rg = rig{}
-	}
-	if rg.k == nil {
-		rg.k = kernel.New(kcfg)
-		rg.r = radio.New(rg.k.Eng, rg.k.Graph, rg.k.Root, rg.k.KernelPriv(), radio.Config{Profile: rg.k.Profile})
-		rg.k.AddDevice(rg.r)
-		var err error
-		rg.n, err = netd.New(rg.k, rg.r, ncfg)
-		if err != nil {
-			*rg = rig{} // never leave a half-built rig for the next device
-			return nil, nil, err
-		}
-		rg.dev = &Device{}
-	} else {
-		rg.k.Reset(kcfg)
-		rg.r.Reset(rg.k.Eng, rg.k.Graph, rg.k.Root, rg.k.KernelPriv(), radio.Config{Profile: rg.k.Profile})
-		rg.k.AddDevice(rg.r)
-		if err := rg.n.Reset(rg.k, rg.r, ncfg); err != nil {
-			*rg = rig{}
-			return nil, nil, err
-		}
+	if err := rg.reset(kcfg); err != nil {
+		return nil, nil, err
 	}
 	k := rg.k
 
@@ -1089,15 +1048,12 @@ func buildDevice(cfg Config, idx int, rg *rig) (*Device, *DeviceResult, error) {
 	}
 
 	res := &DeviceResult{Index: idx, Seed: seed}
-	lifeRes := cfg.LifeResolution
-	if lifeRes == 0 {
-		lifeRes = DefaultLifeResolution
-	}
-	// Outside ClosedForm the watch polls the battery every lifeRes.
+	// Outside ClosedForm the watch polls the battery every
+	// DefaultLifeResolution.
 	dense := k.Mode() != kernel.ClosedForm
 	var watch *sim.Task
-	watch = k.Eng.Every("fleet:battery-watch", lifeRes, func(e *sim.Engine) {
-		if !res.Died && k.BatteryExhaustedFor(watchSustain(lifeRes)) {
+	watch = k.Eng.Every("fleet:battery-watch", DefaultLifeResolution, func(e *sim.Engine) {
+		if !res.Died && k.BatteryExhaustedFor(DefaultLifeResolution) {
 			res.Died = true
 			res.DiedAt = e.Now()
 			e.Stop() // dead device: nothing left to measure
@@ -1367,19 +1323,4 @@ func (s *splitmix) Intn(n int64) int64 {
 		panic("fleet: Intn on non-positive bound")
 	}
 	return int64(s.Next() % uint64(n))
-}
-
-// watchSustain is the horizon the battery watch requires the battery to
-// sustain at baseline draw before declaring the device alive: the watch
-// resolution, capped at one second so coarse life resolutions do not
-// shave measurable life off the end. A drained device whose clamped
-// taps and decay refunds keep the level floating a batch or two above
-// the billing quantum would otherwise zombie along — executing its full
-// per-instant load, consuming nothing, measuring nothing — until some
-// teardown returns enough energy to finish dying.
-func watchSustain(lifeRes units.Time) units.Time {
-	if lifeRes > units.Second {
-		return units.Second
-	}
-	return lifeRes
 }

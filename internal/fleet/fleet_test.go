@@ -171,71 +171,60 @@ func TestFleetModeEquivalence(t *testing.T) {
 }
 
 // TestFleetRecycleEquivalence: recycling a worker's kernel/radio/netd
-// machinery across devices must be invisible — the full JSON report
-// (engine diagnostics included) must be byte-identical to building
-// every device from scratch. A single worker maximizes reuse (31 of 32
-// devices run on recycled machinery).
-func TestFleetRecycleEquivalence(t *testing.T) {
-	cfg := testCfg(1)
-	recycled, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NoRecycle = true
-	fresh, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rj, err := recycled.JSON(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fj, err := fresh.JSON(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rj, fj) {
-		t.Fatalf("device recycling changed the report:\n%s\nvs\n%s",
-			recycled.Format(), fresh.Format())
-	}
-}
-
-// TestFleetRecycleEquivalenceMixed runs the heterogeneous mix — every
-// workload type, Smdd construction, battery deaths — through recycled
-// and fresh machinery. Mixed scenarios are the hard case: consecutive
-// devices on one worker rebuild completely different object populations
+// machinery across devices must be invisible. Each row runs the fleet
+// once (recycled rigs), then simulates every device on a rig of its
+// own through the same device path, and requires the full per-device
+// JSON — engine diagnostics included — to be byte-identical. One worker
+// maximizes reuse; the mixed rows are the hard case, where consecutive
+// devices on one worker rebuild completely different object
+// populations (every workload type, Smdd construction, battery deaths)
 // into the same recycled memory.
-func TestFleetRecycleEquivalenceMixed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := Config{
-		Devices:     10,
-		Seed:        21,
-		Duration:    4 * units.Hour,
-		Workers:     2,
-		Scenario:    DayInTheLife(),
-		KeepResults: true,
-	}
-	recycled, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NoRecycle = true
-	fresh, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rj, err := recycled.JSON(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fj, err := fresh.JSON(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rj, fj) {
-		t.Fatal("device recycling changed the mixed-scenario report")
+func TestFleetRecycleEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		short bool // cheap enough for -short
+	}{
+		{"poller", testCfg(1), true},
+		{"dayinthelife-mixed", Config{Devices: 10, Seed: 21, Duration: 4 * units.Hour, Workers: 2,
+			Scenario: DayInTheLife()}, false},
+		{"dayinthelife-10k", Config{Devices: 10_000, Seed: 1, Duration: 10 * units.Minute, Workers: 2,
+			Scenario: DayInTheLife()}, false},
+		{"spinner", Config{Devices: 8, Seed: 5, Duration: 2 * units.Minute, Workers: 1,
+			Scenario: SpinnerScenario{}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && !tc.short {
+				t.Skip("short mode")
+			}
+			cfg := tc.cfg
+			cfg.KeepResults = true
+			rep, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Results) != cfg.Devices {
+				t.Fatalf("kept %d results for %d devices", len(rep.Results), cfg.Devices)
+			}
+			plan := planEpochs(cfg)
+			for idx, recycled := range rep.Results {
+				o := simulate(cfg, plan, 0, idx, nil, new(rig))
+				if o.err != nil {
+					t.Fatalf("device %d on a fresh rig: %v", idx, o.err)
+				}
+				fj, err := o.res.NDJSON(false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rj, err := recycled.NDJSON(false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(rj, fj) {
+					t.Fatalf("device %d: recycling changed the result:\nrecycled %s\nfresh    %s", idx, rj, fj)
+				}
+			}
+		})
 	}
 }
 
@@ -287,10 +276,6 @@ func TestFleetConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Devices: 1, Scenario: IdleScenario{}}); err == nil {
 		t.Error("zero duration accepted")
-	}
-	if _, err := Run(Config{Devices: 1, Scenario: IdleScenario{}, Duration: units.Second,
-		LifeResolution: -units.Second}); err == nil {
-		t.Error("negative life resolution accepted")
 	}
 }
 

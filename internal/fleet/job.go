@@ -40,10 +40,8 @@ type Job struct {
 	// single-runner job).
 	Shards int `json:"shards"`
 
-	// BatteryUJ overrides the profile battery (0 = profile default);
-	// LifeResolutionMS overrides DefaultLifeResolution (0 = default).
-	BatteryUJ        int64 `json:"battery_uj,omitempty"`
-	LifeResolutionMS int64 `json:"life_resolution_ms,omitempty"`
+	// BatteryUJ overrides the profile battery (0 = profile default).
+	BatteryUJ int64 `json:"battery_uj,omitempty"`
 
 	// Mode pins the simulation mode, so every runner of a job
 	// simulates identically (Partial records it and Merge verifies it).
@@ -77,7 +75,6 @@ func NewJob(cfg Config, shards int) (Job, error) {
 		DurationMS:        int64(cfg.Duration),
 		Shards:            shards,
 		BatteryUJ:         int64(cfg.BatteryCapacity),
-		LifeResolutionMS:  int64(cfg.LifeResolution),
 		Mode:              cfg.Mode,
 		CheckpointDir:     cfg.CheckpointDir,
 		CheckpointEveryMS: int64(cfg.CheckpointEvery),
@@ -113,9 +110,6 @@ func (j Job) Validate() error {
 	}
 	if j.Shards <= 0 || j.Shards > j.Devices {
 		return fmt.Errorf("fleet: job shard plan %d over %d devices", j.Shards, j.Devices)
-	}
-	if j.LifeResolutionMS < 0 {
-		return fmt.Errorf("fleet: job has negative life resolution %d ms", j.LifeResolutionMS)
 	}
 	if !j.Mode.Valid() {
 		return fmt.Errorf("fleet: job has invalid mode %v", j.Mode)
@@ -164,7 +158,6 @@ func (j Job) ShardConfig(shard int) (Config, error) {
 		Duration:        units.Time(j.DurationMS),
 		Scenario:        sc,
 		BatteryCapacity: units.Energy(j.BatteryUJ),
-		LifeResolution:  units.Time(j.LifeResolutionMS),
 		Mode:            j.Mode,
 		ShardIndex:      shard,
 		ShardCount:      j.Shards,

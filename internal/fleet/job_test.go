@@ -76,7 +76,6 @@ func TestJobValidate(t *testing.T) {
 		{"zero duration", func(j *Job) { j.DurationMS = 0 }, "duration"},
 		{"zero shards", func(j *Job) { j.Shards = 0 }, "shard plan"},
 		{"more shards than devices", func(j *Job) { j.Shards = 11 }, "shard plan"},
-		{"negative life resolution", func(j *Job) { j.LifeResolutionMS = -1 }, "life resolution"},
 	} {
 		j := good
 		tc.mut(&j)

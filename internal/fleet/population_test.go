@@ -117,8 +117,10 @@ func runCanonical(t *testing.T, cfg Config) []byte {
 // TestMonthEquivalenceAcrossChargerModes is the recharge-cycle
 // equivalence gate: the month scenario's canonical report must be
 // byte-identical whether charger credits are settled in closed form or
-// executed per quantum (the per-batch mode), and across worker counts —
-// the mode may only change diagnostics.
+// executed per quantum (the per-batch mode), across worker counts, and
+// when every device is snapshotted and restored at 24 h epochs
+// mid-month (the charger's checkpoint path) — the mode may only change
+// diagnostics.
 func TestMonthEquivalenceAcrossChargerModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-day fleet run")
@@ -132,6 +134,12 @@ func TestMonthEquivalenceAcrossChargerModes(t *testing.T) {
 	}
 	if got := runCanonical(t, monthCfg(4)); !bytes.Equal(got, ref) {
 		t.Error("worker count changed the canonical report")
+	}
+	checkpointed := monthCfg(2)
+	checkpointed.CheckpointDir = t.TempDir()
+	checkpointed.CheckpointEvery = 24 * units.Hour
+	if got := runCanonical(t, checkpointed); !bytes.Equal(got, ref) {
+		t.Error("24 h checkpoint epochs changed the canonical report")
 	}
 }
 

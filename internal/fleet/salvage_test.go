@@ -206,8 +206,7 @@ func TestCheckpointBoundaryMidPollNamesWorkload(t *testing.T) {
 	// Probe the deterministic device second by second for an instant
 	// with a caller blocked in netd; that instant becomes the epoch
 	// boundary of the real run.
-	var rg rig
-	d, _, err := buildDevice(cfg, 0, &rg)
+	d, _, err := buildDevice(cfg, 0, new(rig))
 	if err != nil {
 		t.Fatal(err)
 	}

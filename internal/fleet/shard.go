@@ -24,7 +24,7 @@ import (
 // full-population array ever exists on any machine.
 
 // PartialVersion is the partial-report schema version.
-const PartialVersion = 3
+const PartialVersion = 4
 
 // Partial is one shard's mergeable report.
 type Partial struct {
@@ -32,13 +32,12 @@ type Partial struct {
 	Version int    `json:"version"`
 
 	// Identity: every shard of a run must agree on these exactly.
-	Scenario         string      `json:"scenario"`
-	Devices          int         `json:"devices"`
-	Seed             int64       `json:"seed"`
-	DurationMS       int64       `json:"duration_ms"`
-	BatteryUJ        int64       `json:"battery_uj"`
-	Mode             kernel.Mode `json:"mode"`
-	LifeResolutionMS int64       `json:"life_resolution_ms"`
+	Scenario   string      `json:"scenario"`
+	Devices    int         `json:"devices"`
+	Seed       int64       `json:"seed"`
+	DurationMS int64       `json:"duration_ms"`
+	BatteryUJ  int64       `json:"battery_uj"`
+	Mode       kernel.Mode `json:"mode"`
 
 	ShardIndex int `json:"shard_index"`
 	ShardCount int `json:"shard_count"`
@@ -68,7 +67,7 @@ func RunShard(cfg Config) (*Partial, error) {
 		return nil, fmt.Errorf("fleet: RunShard needs ShardCount > 0")
 	}
 	agg := aggregate{}
-	if err := runRange(cfg, workers, agg); err != nil {
+	if err := runEpochs(cfg, workers, agg); err != nil {
 		return nil, err
 	}
 	return packPartial(cfg, agg), nil
@@ -78,19 +77,18 @@ func RunShard(cfg Config) (*Partial, error) {
 func packPartial(cfg Config, a aggregate) *Partial {
 	lo, hi := cfg.shardRange()
 	p := &Partial{
-		Format:           "cinder-fleet-partial",
-		Version:          PartialVersion,
-		Scenario:         cfg.Scenario.Name(),
-		Devices:          cfg.Devices,
-		Seed:             cfg.Seed,
-		DurationMS:       int64(cfg.Duration),
-		BatteryUJ:        int64(cfg.BatteryCapacity),
-		Mode:             cfg.Mode,
-		LifeResolutionMS: int64(cfg.LifeResolution),
-		ShardIndex:       cfg.ShardIndex,
-		ShardCount:       cfg.ShardCount,
-		RangeLo:          lo,
-		RangeHi:          hi,
+		Format:     "cinder-fleet-partial",
+		Version:    PartialVersion,
+		Scenario:   cfg.Scenario.Name(),
+		Devices:    cfg.Devices,
+		Seed:       cfg.Seed,
+		DurationMS: int64(cfg.Duration),
+		BatteryUJ:  int64(cfg.BatteryCapacity),
+		Mode:       cfg.Mode,
+		ShardIndex: cfg.ShardIndex,
+		ShardCount: cfg.ShardCount,
+		RangeLo:    lo,
+		RangeHi:    hi,
 	}
 	for _, n := range a.names() {
 		t := a[n]
@@ -190,8 +188,7 @@ func Merge(parts []*Partial, scenario Scenario) (Report, error) {
 		switch {
 		case p.Scenario != ref.Scenario || p.Devices != ref.Devices || p.Seed != ref.Seed ||
 			p.DurationMS != ref.DurationMS || p.BatteryUJ != ref.BatteryUJ ||
-			p.Mode != ref.Mode || p.LifeResolutionMS != ref.LifeResolutionMS ||
-			p.ShardCount != ref.ShardCount:
+			p.Mode != ref.Mode || p.ShardCount != ref.ShardCount:
 			return Report{}, fmt.Errorf("fleet: partial %d/%d does not match partial %d/%d: "+
 				"shards must come from one identically configured run",
 				p.ShardIndex, p.ShardCount, ref.ShardIndex, ref.ShardCount)

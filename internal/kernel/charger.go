@@ -84,7 +84,6 @@ type BatteryCharger struct {
 
 	closedForm bool
 	settling   bool
-	predicted  units.Time
 	stats      ChargerStats
 }
 
@@ -118,9 +117,6 @@ func (k *Kernel) Charger() *BatteryCharger { return k.charger }
 
 // Stats returns a copy of the counters.
 func (c *BatteryCharger) Stats() ChargerStats { return c.stats }
-
-// Plugged reports whether a supply is connected.
-func (c *BatteryCharger) Plugged() bool { return c.plugged }
 
 // Plug connects a supply. Charge accrues from the current instant and
 // is credited at every quantum boundary (plus a final partial interval
@@ -203,7 +199,6 @@ func (c *BatteryCharger) maybeSettle(now units.Time) {
 	}
 	c.task.DeferUntil(t)
 	c.settling = true
-	c.predicted = t
 }
 
 // predictSafe returns the latest quantum boundary through which skipped
@@ -289,15 +284,6 @@ func (c *BatteryCharger) InvalidateSweeps() {
 	c.task.Resume()
 }
 
-// PredictedFire returns the instant the deferred task expects to fire,
-// or 0 while it rides its periodic grid (diagnostics).
-func (c *BatteryCharger) PredictedFire() units.Time {
-	if !c.settling {
-		return 0
-	}
-	return c.predicted
-}
-
 // Snapshot serializes the charger's mutable state. The task's own
 // schedule belongs to the engine section; mid-charge checkpoints work
 // because the credit cursor, carry and supply rate travel here.
@@ -309,7 +295,6 @@ func (c *BatteryCharger) Snapshot(w *snap.Writer) {
 	w.I64(int64(c.lastCharge))
 	w.I64(c.carry)
 	w.Bool(c.settling)
-	w.I64(int64(c.predicted))
 	w.I64(c.stats.Plugs)
 	w.I64(int64(c.stats.Recharged))
 	w.I64(int64(c.stats.Clamped))
@@ -327,7 +312,6 @@ func (c *BatteryCharger) Restore(r *snap.Reader) error {
 	lastCharge := units.Time(r.I64())
 	carry := r.I64()
 	settling := r.Bool()
-	predicted := units.Time(r.I64())
 	stats := ChargerStats{
 		Plugs:          r.I64(),
 		Recharged:      units.Energy(r.I64()),
@@ -347,7 +331,6 @@ func (c *BatteryCharger) Restore(r *snap.Reader) error {
 	c.lastCharge = lastCharge
 	c.carry = carry
 	c.settling = settling
-	c.predicted = predicted
 	c.stats = stats
 	return nil
 }

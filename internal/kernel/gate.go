@@ -122,12 +122,3 @@ func (k *Kernel) GateCall(name string, caller *sched.Thread, args any) (any, err
 	}
 	return reply, err
 }
-
-// Gates returns the names of live gates (for diagnostics).
-func (k *Kernel) Gates() []string {
-	out := make([]string, 0, len(k.gates))
-	for name := range k.gates {
-		out = append(out, name)
-	}
-	return out
-}

@@ -330,10 +330,18 @@ type SettleGuardDevice interface {
 }
 
 // New builds a kernel and registers its periodic activities on a fresh
-// engine.
+// engine: it allocates empty machinery and runs it through Reset, so a
+// new kernel and a recycled one share a single construction sequence.
 func New(cfg Config) *Kernel {
-	k := &Kernel{}
-	k.init(cfg, false)
+	tbl := kobj.NewTable()
+	k := &Kernel{
+		Eng:   sim.NewEngine(cfg.Seed),
+		Table: tbl,
+		Graph: new(core.Graph),
+		Sched: sched.New(tbl, 0),
+		gates: make(map[string]*Gate),
+	}
+	k.Reset(cfg)
 	return k
 }
 
@@ -344,9 +352,7 @@ func New(cfg Config) *Kernel {
 // forgotten; the caller must rebuild its world (and drop every old
 // handle) just as after New. The fleet runner recycles one kernel per
 // worker this way instead of building 100k object graphs.
-func (k *Kernel) Reset(cfg Config) { k.init(cfg, true) }
-
-func (k *Kernel) init(cfg Config, recycle bool) {
+func (k *Kernel) Reset(cfg Config) {
 	if cfg.Profile.Name == "" {
 		cfg.Profile = power.Dream()
 	}
@@ -359,22 +365,13 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 	if !cfg.Mode.Valid() {
 		panic(fmt.Sprintf("kernel: invalid mode %d", uint8(cfg.Mode)))
 	}
-	if recycle {
-		k.Eng.Reset(cfg.Seed, cfg.Mode.engine())
-		k.Table.Reset()
-	} else {
-		k.Eng = sim.NewEngineMode(cfg.Seed, cfg.Mode.engine())
-		k.Table = kobj.NewTable()
-	}
+	k.Eng.Reset(cfg.Seed, cfg.Mode.engine())
+	k.Table.Reset()
 	eng := k.Eng
 	k.Root = kobj.NewContainer(k.Table, nil, "root", label.Public())
 	k.Profile = cfg.Profile
 	k.billing = cfg.Billing
-	if k.gates == nil {
-		k.gates = make(map[string]*Gate)
-	} else {
-		clear(k.gates)
-	}
+	clear(k.gates)
 	k.nextCat = 2 // category 1 is the kernel's
 	k.backlight = cfg.BacklightOn
 	k.sysCategory = 1
@@ -400,13 +397,8 @@ func (k *Kernel) init(cfg Config, recycle bool) {
 		DecayHalfLife:   cfg.DecayHalfLife,
 		StrictHoarding:  cfg.StrictHoarding,
 	}
-	if recycle {
-		k.Graph.Reset(k.Table, k.Root, batteryLabel, graphCfg)
-		k.Sched.Reset(cfg.Profile.CPUActive)
-	} else {
-		k.Graph = core.NewGraph(k.Table, k.Root, batteryLabel, graphCfg)
-		k.Sched = sched.New(k.Table, cfg.Profile.CPUActive)
-	}
+	k.Graph.Reset(k.Table, k.Root, batteryLabel, graphCfg)
+	k.Sched.Reset(cfg.Profile.CPUActive)
 
 	k.mode = cfg.Mode
 
@@ -1304,17 +1296,9 @@ func (k *Kernel) Consumed() units.Energy { return k.Graph.Consumed() }
 // Battery returns the root reserve.
 func (k *Kernel) Battery() *core.Reserve { return k.Graph.Battery() }
 
-// BatteryExhausted reports whether the battery can no longer cover even
-// one batch of baseline idle draw — the practical definition of a dead
-// device (the residual level is below the billing quantum, so nothing
-// can ever be paid for again).
-func (k *Kernel) BatteryExhausted() bool {
-	return !k.Graph.Battery().CanConsume(k.kpriv, k.baselinePower().Over(k.tapBatch))
-}
-
 // BatteryExhaustedFor reports whether the battery can no longer sustain
-// the baseline idle draw for d more simulated time. The strict one-batch
-// test above can fail to trip on a drained device: clamped taps, label
+// the baseline idle draw for d more simulated time. A strict one-batch
+// test can fail to trip on a drained device: clamped taps, label
 // decay and reserve teardown cycle a few millijoules back and forth, so
 // the level floats a batch or two above the quantum indefinitely while
 // nothing real can be paid for — a zombie that still executes its full

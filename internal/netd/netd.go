@@ -627,17 +627,6 @@ func (n *Netd) InvalidateSweeps() {
 // kernel's decay task on its grid.
 func (n *Netd) PinsDecay() bool { return n.settling }
 
-// PredictedFire returns the instant the deferred sweep expects the pool
-// to cross the threshold, or 0 while the sweep rides its periodic grid
-// (diagnostics; the fuzz harness asserts it stays on the sweep grid,
-// strictly in the future, ahead of the last accounted boundary).
-func (n *Netd) PredictedFire() units.Time {
-	if !n.settling {
-		return 0
-	}
-	return n.predicted
-}
-
 // fire pays the radio's activation estimate out of the pool and
 // releases every waiter: "every 60 seconds enough energy is saved to
 // use the radio and both applications proceed simultaneously" (§6.4).

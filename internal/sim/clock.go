@@ -608,15 +608,6 @@ func (e *Engine) PendingEventAt(t units.Time) bool {
 // tasks, not settled by the hook, or it would be performed twice.
 func (e *Engine) EntryInstant() bool { return e.entry }
 
-// NextEventAt returns the due time of the earliest pending one-shot
-// event; ok is false when none is pending.
-func (e *Engine) NextEventAt() (units.Time, bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].At, true
-}
-
 // EarliestWork returns the earliest instant at which any pending event
 // or any live task other than `except` is due, or MaxTime when nothing
 // is pending. Every state change in the simulation happens at an

@@ -86,12 +86,6 @@ func (h *Hist) Merge(other *Hist) {
 	h.n += other.n
 }
 
-// Reset empties the histogram in place, keeping its backing array.
-func (h *Hist) Reset() {
-	clear(h.counts)
-	h.n = 0
-}
-
 // Quantile returns the nearest-rank p-th percentile: the lower bound of
 // the bucket containing the sample of rank ⌈p·n/100⌉ (rank clamped to
 // ≥ 1). An empty histogram returns 0.

@@ -25,7 +25,7 @@ const Magic = "CNDSNAP1"
 
 // Version is the current snapshot format version. Bump it whenever a
 // section's field layout changes; Open rejects mismatches loudly.
-const Version uint32 = 2
+const Version uint32 = 3
 
 // Errors the reader can return (wrapped with context).
 var (
